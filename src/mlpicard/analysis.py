@@ -41,7 +41,8 @@ import numpy as np
 
 from . import __version__
 from .baseline import BaselineParams, mc_euler, mc_euler_batch, reference_solve
-from .mlp import CostLedger, mlp_estimate_batch, _estimate_scalar, rv_bound, rv_exact
+from .mlp import CostLedger, _check_nm, mlp_estimate_batch, rv_bound, rv_exact
+from .mlp import _estimate as _estimate_scalar  # the per-lane engine; perfbench wraps these names
 from .problems import ExpectationOdeProblem
 from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, SplittableStream, StreamBundle
 
@@ -101,10 +102,7 @@ def error_bound(inputs: BoundInputs, n: int, m: int) -> float:
     Evaluated in log space so huge (n, L, T) overflow cleanly to +inf
     instead of raising.
     """
-    if n < 0:
-        raise ValueError("level n must be nonnegative")
-    if m < 1:
-        raise ValueError("base m must be a positive integer")
+    n, m = _check_nm(n, m)
     lead = inputs.horizon * math.sqrt(inputs.f_xi_second_moment)
     if lead == 0.0:
         return 0.0
@@ -297,29 +295,19 @@ def _lane_chunks(replications: int, threads: int) -> list[range]:
     return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _mlp_chunk(problem, n, m, t, seed, lanes):
+def _run_lanes(problem, engines, args, seed, lanes):
+    """Realizations on ``root(seed).spawn(j)`` for j in ``lanes``, and their
+    ledger: one call of the batch engine when the problem has batch hooks,
+    otherwise one call of the scalar engine per lane."""
+    batch, scalar = engines
     ledger = CostLedger()
     if problem.has_batch:
         bundle = StreamBundle.root_children(seed, np.arange(lanes.start, lanes.stop))
-        out = mlp_estimate_batch(problem, n, m, t, bundle, ledger)
-    else:
-        root = SplittableStream.root(seed)
-        out = np.empty((len(lanes), problem.dim))
-        for i, j in enumerate(lanes):
-            out[i] = _estimate_scalar(problem, n, m, t, root.spawn(j), ledger)
-    return out, ledger
-
-
-def _euler_chunk(problem, params, seed, lanes):
-    ledger = CostLedger()
-    if problem.has_batch:
-        bundle = StreamBundle.root_children(seed, np.arange(lanes.start, lanes.stop))
-        out = mc_euler_batch(problem, params, bundle, ledger)
-    else:
-        root = SplittableStream.root(seed)
-        out = np.empty((len(lanes), problem.dim))
-        for i, j in enumerate(lanes):
-            out[i] = mc_euler(problem, params, root.spawn(j), ledger)
+        return batch(problem, *args, bundle, ledger), ledger
+    root = SplittableStream.root(seed)
+    out = np.empty((len(lanes), problem.dim))
+    for i, j in enumerate(lanes):
+        out[i] = scalar(problem, *args, root.spawn(j), ledger)
     return out, ledger
 
 
@@ -354,6 +342,10 @@ def rmse_experiment(
     if scheme == "mc_euler" and t != problem.horizon:
         raise ValueError("the Euler baseline only evaluates at the horizon")
 
+    check = _check_nm if scheme == "mlp" else BaselineParams
+    for a, b in grid:  # the whole grid is checked before any row runs
+        check(a, b)
+
     ref = reference_solve(problem, t, step=reference_step)
     inputs = BoundInputs.from_problem(problem)
     chunks = _lane_chunks(replications, threads)
@@ -363,16 +355,16 @@ def rmse_experiment(
     for a, b in grid:
         t0 = time.perf_counter()
         if scheme == "mlp":
-            run = lambda lanes: _mlp_chunk(problem, a, b, t, seed, lanes)
+            engines, args = (mlp_estimate_batch, _estimate_scalar), (a, b, t)
             per_real = rv_exact(a, b)
             bound = error_bound(inputs, a, b)
             bound_rv = rv_bound(a, b) if a >= 1 else None
         else:
-            params = BaselineParams(a, b)
-            run = lambda lanes: _euler_chunk(problem, params, seed, lanes)
+            engines, args = (mc_euler_batch, mc_euler), (BaselineParams(a, b),)
             per_real = a * b
             bound = None
             bound_rv = None
+        run = lambda lanes: _run_lanes(problem, engines, args, seed, lanes)
 
         if len(chunks) == 1:
             parts = [run(chunks[0])]

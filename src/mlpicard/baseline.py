@@ -13,6 +13,13 @@ Stream layout (frozen): node j (0-based) uses the child stream
 ``stream.spawn(j)``, and its i-th draw comes from ``spawn(j).spawn(i)``,
 i = 1..M.  Fresh draws per node keep node errors independent.
 
+``mc_euler`` (one :class:`~mlpicard.rng.SplittableStream`) and
+``mc_euler_batch`` (one realization per lane of a
+:class:`~mlpicard.rng.StreamBundle`) run the same K-step loop; the node
+average is the estimator's fresh-draw kernel, which a bundle evaluates in
+fixed chunks of 4096 draws.  Per lane the two agree bit for bit up to
+M = 4096 and to rounding beyond.
+
 ``reference_solve`` provides the "truth" for RMSE measurements without
 statistical error: the closed form when the problem has one, otherwise
 classical fixed-step RK4 on ``x' = exact_mean_drift(x)`` with a final
@@ -25,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import CostLedger
+from .mlp import CostLedger, _check_int, _draw_sum, _initial_state
 from .problems import ExpectationOdeProblem
-from .rng import SplittableStream, StreamBundle, _child_keys_np
+from .rng import SplittableStream, StreamBundle
 
 __all__ = ["BaselineParams", "NoReferenceError", "mc_euler", "mc_euler_batch", "reference_solve"]
 
@@ -46,10 +53,8 @@ class BaselineParams:
     samples: int
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be a positive integer")
-        if self.samples < 1:
-            raise ValueError("samples must be a positive integer")
+        _check_int(self.steps, "steps K", 1)
+        _check_int(self.samples, "samples M", 1)
 
 
 def mc_euler(
@@ -63,20 +68,7 @@ def mc_euler(
     Y_0 = xi;  Y_{j+1} = Y_j + (T/K) * mean_i F(Y_j, Z_{j,i});  returns Y_K.
     Records K*M Z draws and drift evaluations in the ledger.
     """
-    K, M = params.steps, params.samples
-    h = problem.horizon / K
-    y = problem.xi.copy()
-    for j in range(K):
-        node = stream.spawn(j)
-        acc = np.zeros(problem.dim)
-        for i in range(1, M + 1):
-            z = problem.sample_z(node.spawn(i))
-            acc = acc + problem.drift(y, z)
-        y = y + (h / M) * acc
-    if ledger is not None:
-        ledger.z_draws += K * M
-        ledger.f_evals += K * M
-    return y
+    return _euler(problem, params, stream, (), ledger)
 
 
 def mc_euler_batch(
@@ -92,24 +84,17 @@ def mc_euler_batch(
     """
     if not problem.has_batch:
         raise ValueError(f"problem {problem.name!r} has no batch hooks")
+    return _euler(problem, params, bundle, bundle.shape, ledger)
+
+
+def _euler(problem, params, stream, lanes, ledger):
+    """The K-step Euler loop for a stream (``lanes == ()``) or a bundle."""
     K, M = params.steps, params.samples
-    keys = bundle.keys
     h = problem.horizon / K
-    y = np.broadcast_to(problem.xi, keys.shape + (problem.dim,)).copy()
+    ledger = CostLedger() if ledger is None else ledger
+    y = _initial_state(problem, lanes)
     for j in range(K):
-        node_keys = _child_keys_np(keys, j)
-        acc = np.zeros(keys.shape + (problem.dim,))
-        for i0 in range(1, M + 1, _DRAW_CHUNK):
-            idx = np.arange(i0, min(i0 + _DRAW_CHUNK, M + 1), dtype=np.int64)
-            chunk = StreamBundle(
-                _child_keys_np(node_keys[None, ...], idx.reshape((-1,) + (1,) * keys.ndim))
-            )
-            z = problem.sample_z_batch(chunk)
-            acc += np.add.reduce(problem.drift_batch(y, z), axis=0)
-        y = y + (h / M) * acc
-    if ledger is not None:
-        ledger.z_draws += K * M * keys.size
-        ledger.f_evals += K * M * keys.size
+        y = y + (h / M) * _draw_sum(problem, y, stream.spawn(j), M, _DRAW_CHUNK, ledger)
     return y
 
 

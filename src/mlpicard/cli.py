@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -165,6 +166,13 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _check_output_dir(path: str) -> None:
+    """Fail before any compute when ``path`` cannot be written."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output directory {directory} does not exist or is not writable")
+
+
 def _fmt(x, width=12) -> str:
     if x is None:
         return " " * (width - 1) + "-"
@@ -183,6 +191,7 @@ def cmd_run(config_path: str, threads: int = 1) -> int:
     ):
         if value is None:
             raise ConfigError(f"'run' requires config field {name!r}")
+    _check_output_dir(config.output_path)
     problem = builtin(config.problem)
 
     try:
@@ -223,6 +232,8 @@ def cmd_schedule(config_path: str) -> int:
     config = load_config(config_path)
     if config.epsilon_list is None:
         raise ConfigError("'schedule' requires config field 'epsilon_list'")
+    if config.output_path is not None:
+        _check_output_dir(config.output_path)
     problem = builtin(config.problem)
     inputs = BoundInputs.from_problem(problem)
 

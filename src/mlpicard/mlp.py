@@ -29,24 +29,26 @@ call matches it draw for draw.  Summation order is fixed (base term first,
 then levels ascending, k ascending) so floating-point results are
 reproducible.
 
-``mlp_estimate`` is the scalar reference implementation.
-``mlp_estimate_batch`` runs many independent realizations in lockstep on a
-:class:`~mlpicard.rng.StreamBundle`; per lane it draws the identical
-(seed, path, counter) values, and its sum orders match the scalar engine
-(base-term averages are chunked at a fixed size, so for ``m**n`` beyond
-the chunk size the grouping of additions differs - values then agree to
-rounding rather than bit for bit).
+``mlp_estimate`` runs one realization on a
+:class:`~mlpicard.rng.SplittableStream`; ``mlp_estimate_batch`` runs one per
+lane of a :class:`~mlpicard.rng.StreamBundle`.  Both are served by one
+recursion, and per lane they draw the identical (seed, path, counter)
+values.  Only the fresh-draw sum differs by lane kind: a stream adds one
+draw at a time, a bundle adds fixed chunks of draws (see ``_draw_sum``), so
+for ``m**n`` beyond the chunk size the grouping of additions differs and
+values then agree to rounding rather than bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .problems import ExpectationOdeProblem
-from .rng import SplittableStream, StreamBundle, _child_keys_np
+from .rng import SplittableStream, StreamBundle
 
 __all__ = [
     "CostLedger",
@@ -86,7 +88,20 @@ class CostLedger:
             self.f_evals + other.f_evals,
         )
 
-    __add__ = merge
+
+def _check_int(value, name: str, low: int) -> int:
+    """``value`` as a Python int >= ``low``; bools and non-integers are
+    rejected (numpy integers are accepted)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    return int(value)
+
+
+def _check_nm(n, m, n_min: int = 0) -> tuple[int, int]:
+    """The one validation point for a level ``n`` and a base ``m``."""
+    return _check_int(n, "level n", n_min), _check_int(m, "base m", 1)
 
 
 @dataclass(frozen=True)
@@ -98,21 +113,12 @@ class MlpParams:
     t: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("level n must be nonnegative")
-        if self.m < 1:
-            raise ValueError("base m must be a positive integer")
+        _check_nm(self.n, self.m)
         if not self.t >= 0.0:
             raise ValueError("time t must be nonnegative")
 
-    def validate_for(self, problem: ExpectationOdeProblem) -> None:
-        if self.t > problem.horizon:
-            raise ValueError(
-                f"time t={self.t} exceeds problem horizon {problem.horizon}"
-            )
 
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def rv_exact(n: int, m: int) -> int:
     """Exact number of Z draws consumed by one level-``n`` realization.
 
@@ -121,12 +127,10 @@ def rv_exact(n: int, m: int) -> int:
         rv(n, m) = m**n + sum_{l=1}^{n-1} m**(n-l) * (1 + rv(l, m) + rv(l-1, m)).
 
     Computed with Python's arbitrary-precision integers, so there is no
-    overflow regime; results are exact for any (n, m).
+    overflow regime; results are exact for any (n, m).  The cache is typed,
+    so ``True`` never hits the entry of ``1``.
     """
-    if n < 0:
-        raise ValueError("level n must be nonnegative")
-    if m < 1:
-        raise ValueError("base m must be a positive integer")
+    n, m = _check_nm(n, m)
     if n == 0:
         return 0
     total = m**n
@@ -137,10 +141,7 @@ def rv_exact(n: int, m: int) -> int:
 
 def rv_bound(n: int, m: int) -> int:
     """Closed-form draw-count bound ``(3m)**n``; requires ``n >= 1``."""
-    if n < 1:
-        raise ValueError("rv_bound requires n >= 1")
-    if m < 1:
-        raise ValueError("base m must be a positive integer")
+    n, m = _check_nm(n, m, n_min=1)
     return (3 * m) ** n
 
 
@@ -155,45 +156,8 @@ def mlp_estimate(
     Pure function of (problem, params, stream state); the ledger is
     accumulated in place.  Returns a fresh vector of shape (dim,).
     """
-    params.validate_for(problem)
-    return _estimate_scalar(problem, params.n, params.m, params.t, stream, ledger)
-
-
-def _estimate_scalar(problem, n, m, t, stream, ledger):
-    xi = problem.xi
-    if n == 0:
-        return xi.copy()
-
-    drift = problem.drift
-    sample_z = problem.sample_z
-
-    base = stream.spawn(0)
-    acc = np.zeros(problem.dim)
-    for k in range(1, m**n + 1):
-        z = sample_z(base.spawn(k))
-        acc = acc + drift(xi, z)
-    count = m**n
-    ledger.z_draws += count
-    ledger.f_evals += count
-    out = xi + (t / count) * acc
-
-    for l in range(1, n):
-        level = stream.spawn(l)
-        width = m ** (n - l)
-        acc = np.zeros(problem.dim)
-        for k in range(1, width + 1):
-            node = level.spawn(k)
-            r = node.next_uniform()
-            z = sample_z(node)
-            s = r * t
-            a = _estimate_scalar(problem, l, m, s, node, ledger)
-            b = _estimate_scalar(problem, l - 1, m, s, level.spawn(-k), ledger)
-            acc = acc + (drift(a, z) - drift(b, z))
-        ledger.uniform_draws += width
-        ledger.z_draws += width
-        ledger.f_evals += 2 * width
-        out = out + (t / width) * acc
-    return out
+    n, m, t = _check_entry(problem, params.n, params.m, params.t, stream)
+    return _estimate(problem, n, m, t, stream, ledger)
 
 
 def mlp_estimate_batch(
@@ -211,57 +175,108 @@ def mlp_estimate_batch(
     uses exactly the draws that ``mlp_estimate`` would use on a scalar
     stream with the same (seed, path).  Returns shape ``(*lanes, dim)``.
     """
-    if not problem.has_batch:
-        raise ValueError(f"problem {problem.name!r} has no batch hooks")
-    if n < 0:
-        raise ValueError("level n must be nonnegative")
-    if m < 1:
-        raise ValueError("base m must be a positive integer")
-    keys = bundle.keys
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), keys.shape)
-    return _estimate_batch(problem, n, m, t, keys, ledger)
+    n, m, t = _check_entry(problem, n, m, t, bundle)
+    return _estimate(problem, n, m, t, bundle, ledger)
 
 
-def _estimate_batch(problem, n, m, t, keys, ledger):
-    xi = problem.xi
-    lanes = keys.shape
-    nlanes = keys.size
+def _check_entry(problem, n, m, t, stream):
+    """Validated ``(n, m, t)`` for either entry, before any draw: ``t`` as
+    a float for a stream, as a float64 array of the lane shape for a bundle."""
+    n, m = _check_nm(n, m)
+    if isinstance(stream, StreamBundle):
+        if not problem.has_batch:
+            raise ValueError(f"problem {problem.name!r} has no batch hooks")
+        t = np.broadcast_to(np.asarray(t, dtype=np.float64), stream.shape)
+    else:
+        t = float(t)
+    if not np.all((t >= 0.0) & (t <= problem.horizon)):
+        raise ValueError(f"time t must lie in [0, {problem.horizon}], got {t}")
+    return n, m, t
+
+
+def _estimate(problem, n, m, t, stream, ledger):
+    """One level-``n`` realization per lane of ``stream``, shape ``(*lanes, dim)``.
+
+    ``stream`` is a :class:`SplittableStream` with ``t`` a float, or a
+    :class:`StreamBundle` with ``t`` a float64 array of its lane shape.
+    """
+    lanes = getattr(t, "shape", ())  # a float t has no shape: one stream
     if n == 0:
-        return np.broadcast_to(xi, lanes + (problem.dim,)).copy()
+        return _initial_state(problem, lanes)
+    sample_z, drift = _hooks(problem, stream)
+    t_col = t[..., None] if lanes else t  # per-lane time against (*lanes, dim)
 
-    drift = problem.drift_batch
-    sample_z = problem.sample_z_batch
-
-    base_keys = _child_keys_np(keys, 0)
     count = m**n
-    acc = np.zeros(lanes + (problem.dim,))
-    for k0 in range(1, count + 1, _BASE_CHUNK):
-        ks = np.arange(k0, min(k0 + _BASE_CHUNK, count + 1), dtype=np.int64)
-        chunk = StreamBundle(
-            _child_keys_np(base_keys[None, ...], ks.reshape((-1,) + (1,) * keys.ndim))
-        )
-        z = sample_z(chunk)
-        acc += np.add.reduce(drift(xi, z), axis=0)
-    ledger.z_draws += count * nlanes
-    ledger.f_evals += count * nlanes
-    out = xi + (t / count)[..., None] * acc
+    acc = _draw_sum(problem, problem.xi, stream.spawn(0), count, _BASE_CHUNK, ledger)
+    out = problem.xi + (t_col / count) * acc
 
+    nlanes = math.prod(lanes)
     for l in range(1, n):
-        level_keys = _child_keys_np(keys, l)
+        level = stream.spawn(l)
         width = m ** (n - l)
         acc = np.zeros(lanes + (problem.dim,))
         for k in range(1, width + 1):
-            node = StreamBundle(_child_keys_np(level_keys, k))
+            node = level.spawn(k)
             r = node.next_uniform()
             z = sample_z(node)
             s = r * t
-            a = _estimate_batch(problem, l, m, s, node.keys, ledger)
-            b = _estimate_batch(
-                problem, l - 1, m, s, _child_keys_np(level_keys, -k), ledger
-            )
+            a = _estimate(problem, l, m, s, node, ledger)
+            b = _estimate(problem, l - 1, m, s, level.spawn(-k), ledger)
             acc += drift(a, z) - drift(b, z)
         ledger.uniform_draws += width * nlanes
         ledger.z_draws += width * nlanes
         ledger.f_evals += 2 * width * nlanes
-        out = out + (t / width)[..., None] * acc
+        out = out + (t_col / width) * acc
     return out
+
+
+def _hooks(problem, stream):
+    """``(sample_z, drift)`` for the lane kind of ``stream``."""
+    if isinstance(stream, StreamBundle):
+        return problem.sample_z_batch, problem.drift_batch
+    return problem.sample_z, problem.drift
+
+
+def _initial_state(problem, lanes):
+    """A fresh copy of ``xi`` for every lane, shape ``(*lanes, dim)``."""
+    y = np.empty(lanes + (problem.dim,))
+    y[...] = problem.xi
+    return y
+
+
+def _draw_sum(problem, x, stream, count, chunk, ledger):
+    """Sum of F(x, Z_k) over k = 1..count, Z_k drawn on ``stream.spawn(k)``.
+
+    The fresh-draw kernel behind both the MLP base term and the Euler node
+    average; records ``count`` draws and evaluations per lane in ``ledger``.
+    A stream adds the terms one by one in ascending k.  A bundle draws
+    ``chunk`` indices per hook call, sums each chunk in ascending k and
+    adds the chunk sums in ascending order.
+    """
+    sample_z, drift = _hooks(problem, stream)
+    if isinstance(stream, StreamBundle):
+        acc = np.zeros(stream.shape + (problem.dim,))
+        for k0 in range(1, count + 1, chunk):
+            block = stream.spawn_block(np.arange(k0, min(k0 + chunk, count + 1)))
+            acc += _ascending_sum(drift(x, sample_z(block)))
+        nlanes = stream.keys.size
+    else:
+        acc = np.zeros(problem.dim)
+        for k in range(1, count + 1):
+            acc = acc + drift(x, sample_z(stream.spawn(k)))
+        nlanes = 1
+    ledger.z_draws += count * nlanes
+    ledger.f_evals += count * nlanes
+    return acc
+
+
+def _ascending_sum(terms):
+    """``terms`` summed over axis 0 in ascending order.
+
+    ``np.add.reduce`` adds whole rows one after another while a row holds
+    more than one element, but sums a single column pairwise, which would
+    round a 1-lane chunk differently from the same lane in a wider batch.
+    """
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]

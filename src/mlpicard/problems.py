@@ -81,10 +81,6 @@ class ExpectationOdeProblem:
         object.__setattr__(self, "xi", xi)
 
     @property
-    def has_reference(self) -> bool:
-        return self.closed_form is not None or self.exact_mean_drift is not None
-
-    @property
     def has_batch(self) -> bool:
         return self.sample_z_batch is not None and self.drift_batch is not None
 

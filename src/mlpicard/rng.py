@@ -244,11 +244,6 @@ class StreamBundle:
         rk = np.uint64(_root_key(_check_seed(seed)))
         return cls(_child_keys_np(rk, indices))
 
-    @classmethod
-    def from_stream(cls, stream: SplittableStream) -> "StreamBundle":
-        """Single-lane bundle mirroring ``stream`` (shares its counter value)."""
-        return cls(np.array([stream._key], dtype=np.uint64), stream.counter)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.keys.shape

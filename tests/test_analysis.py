@@ -297,6 +297,39 @@ def test_rmse_experiment_thread_count_does_not_change_results():
     assert one.csv_text() == many.csv_text()
 
 
+@pytest.mark.parametrize("scheme,point", [("mlp", (2, 5)), ("mlp", (3, 3)), ("mc_euler", (3, 100))])
+def test_two_replications_give_the_same_bytes_on_one_and_two_threads(scheme, point):
+    # With R = 2 and two threads every chunk holds one lane; its sums must
+    # round exactly as they do inside the 2-lane batch.
+    p = builtin("linear_meanfield")
+    one = rmse_experiment(p, scheme, [point], 2, SEED, threads=1)
+    two = rmse_experiment(p, scheme, [point], 2, SEED, threads=2)
+    assert one.csv_text() == two.csv_text()
+
+
+def _refusing_problem():
+    def refuse(*args):
+        raise AssertionError("computed a row before the grid was checked")
+
+    return ExpectationOdeProblem(
+        name="refusing",
+        dim=1,
+        xi=np.zeros(1),
+        horizon=1.0,
+        lipschitz=0.0,
+        sample_z=refuse,
+        drift=refuse,
+        f_xi_second_moment=0.0,
+        closed_form=lambda t: np.zeros(1),
+    )
+
+
+@pytest.mark.parametrize("scheme,grid", [("mlp", [(2, 2), (2.5, 2)]), ("mc_euler", [(2, 2), (True, 2)])])
+def test_rmse_experiment_checks_the_whole_grid_first(scheme, grid):
+    with pytest.raises(TypeError, match="must be an integer"):
+        rmse_experiment(_refusing_problem(), scheme, grid, 2, SEED)
+
+
 def test_mc_euler_rows_carry_grid_and_cost():
     rep = rmse_experiment(builtin("linear_meanfield"), "mc_euler", [(5, 4), (10, 8)], 20, SEED)
     assert (rep.rows[0].n, rep.rows[0].m) == (5, 4)

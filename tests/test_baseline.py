@@ -17,8 +17,10 @@ from mlpicard.baseline import (
 from mlpicard.mlp import CostLedger
 from mlpicard.problems import ExpectationOdeProblem, builtin
 from mlpicard.rng import StreamBundle, root
+from oracle import PROBLEM_NAMES, euler_scalar, named_problem
 
 X_INF = 1.0 - math.exp(-1.0)
+SEED = 12345
 
 
 def test_params_validation():
@@ -26,6 +28,15 @@ def test_params_validation():
         BaselineParams(0, 1)
     with pytest.raises(ValueError):
         BaselineParams(1, 0)
+    assert BaselineParams(np.int64(3), np.int32(2)) == BaselineParams(3, 2)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), "3"])
+def test_params_must_be_integers(bad):
+    with pytest.raises(TypeError, match="must be an integer"):
+        BaselineParams(bad, 3)
+    with pytest.raises(TypeError, match="must be an integer"):
+        BaselineParams(3, bad)
 
 
 def test_const_drift_euler_is_exact():
@@ -59,9 +70,35 @@ def test_ledger_counts_k_times_m():
 def test_batch_matches_scalar():
     p = builtin("linear_meanfield")
     params = BaselineParams(6, 3)
-    scal = mc_euler(p, params, root(3).spawn(5))
+    scal = euler_scalar(p, params, root(3).spawn(5))
     batch = mc_euler_batch(p, params, StreamBundle.root_children(3, [5]))
     assert np.array_equal(scal, batch[0])
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("K,M", [(6, 3), (3, 100), (1, 4100)])
+def test_scalar_entry_matches_oracle(name, K, M):
+    # (1, 4100) puts more than one 4096-draw chunk in a node average.
+    p = named_problem(name)
+    ledger, want_ledger = CostLedger(), CostLedger()
+    got = mc_euler(p, BaselineParams(K, M), root(9).spawn(2), ledger)
+    want = euler_scalar(p, BaselineParams(K, M), root(9).spawn(2), want_ledger)
+    assert np.array_equal(got, want)
+    assert ledger == want_ledger
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_one_lane_matches_lane_in_batch(name):
+    # M = 100 draws per node: a single column would be summed pairwise by
+    # numpy; the engine must keep ascending order at every lane count.
+    p = named_problem(name)
+    params = BaselineParams(3, 100)
+    lanes = [1, 2, 3]
+    wide = mc_euler_batch(p, params, StreamBundle.root_children(SEED, lanes))
+    for i, j in enumerate(lanes):
+        one = mc_euler_batch(p, params, StreamBundle.root_children(SEED, [j]))
+        assert np.array_equal(one[0], wide[i])
+        assert np.array_equal(one[0], euler_scalar(p, params, root(SEED).spawn(j)))
 
 
 def test_batch_requires_batch_hooks():

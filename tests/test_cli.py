@@ -246,3 +246,19 @@ def test_bad_threads_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "schedule"])
+def test_missing_output_directory_exits_2_before_computing(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    _write_config(
+        cfg,
+        problem="linear_meanfield",
+        grid=[[6, 6]],  # minutes of work if it ran
+        replications=1000,
+        epsilon_list=[0.5],
+        output_path=str(tmp_path / "missing" / "out.csv"),
+    )
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "output directory" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()

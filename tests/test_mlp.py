@@ -16,6 +16,7 @@ from mlpicard.mlp import (
 )
 from mlpicard.problems import BUILTIN_NAMES, ExpectationOdeProblem, builtin
 from mlpicard.rng import StreamBundle, root
+from oracle import PROBLEM_NAMES, estimate_scalar, named_problem, two_dim_problem
 
 SEED = 12345
 
@@ -58,6 +59,67 @@ def test_rv_validation():
         rv_exact(2, 0)
     with pytest.raises(ValueError):
         rv_bound(0, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: rv_exact(v, 2),
+        lambda v: rv_exact(2, v),
+        lambda v: rv_bound(v, 2),
+        lambda v: MlpParams(v, 2, 1.0),
+        lambda v: MlpParams(2, v, 1.0),
+        lambda v: mlp_estimate_batch(
+            builtin("pure_noise"), v, 2, 1.0, StreamBundle.root_children(1, [1]), CostLedger()
+        ),
+    ],
+)
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0), "2"])
+def test_levels_and_bases_must_be_integers(call, bad):
+    with pytest.raises(TypeError, match="must be an integer"):
+        call(bad)
+
+
+def test_numpy_integer_levels_are_accepted():
+    assert rv_exact(np.int64(3), np.int32(2)) == rv_exact(3, 2) == 46
+    assert isinstance(rv_exact(np.int64(30), np.int64(30)), int)
+    p = builtin("linear_meanfield")
+    got = mlp_estimate(p, MlpParams(np.int64(2), np.int64(3), 1.0), root(4), CostLedger())
+    assert np.array_equal(got, mlp_estimate(p, MlpParams(2, 3, 1.0), root(4), CostLedger()))
+
+
+def _refusing_problem():
+    # Any draw raises, so an input error must be reported before sampling.
+    def refuse(*args):
+        raise AssertionError("drew before validating")
+
+    return ExpectationOdeProblem(
+        name="refusing",
+        dim=1,
+        xi=np.zeros(1),
+        horizon=1.0,
+        lipschitz=0.0,
+        sample_z=refuse,
+        drift=refuse,
+        f_xi_second_moment=0.0,
+        sample_z_batch=refuse,
+        drift_batch=refuse,
+    )
+
+
+@pytest.mark.parametrize("t", [-0.5, math.nan, 5.0, [0.5, 1.5], [0.5, math.nan]])
+def test_batch_rejects_times_outside_horizon_before_drawing(t):
+    bundle = StreamBundle.root_children(1, [1, 2])
+    ledger = CostLedger()
+    with pytest.raises(ValueError, match="time t"):
+        mlp_estimate_batch(_refusing_problem(), 2, 2, t, bundle, ledger)
+    assert ledger == CostLedger()
+
+
+@pytest.mark.parametrize("t", [1.5, 5.0])
+def test_scalar_rejects_times_beyond_horizon_before_drawing(t):
+    with pytest.raises(ValueError, match="time t"):
+        mlp_estimate(_refusing_problem(), MlpParams(2, 2, t), root(1), CostLedger())
 
 
 def test_rv_exact_is_bigint_safe():
@@ -200,9 +262,9 @@ def test_ledger_merge_is_associative_commutative():
     a = CostLedger(1, 2, 3)
     b = CostLedger(10, 20, 30)
     c = CostLedger(100, 200, 300)
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a + CostLedger() == a
+    assert a.merge(b) == b.merge(a)
+    assert a.merge(b).merge(c) == a.merge(b.merge(c))
+    assert a.merge(CostLedger()) == a
 
 
 def test_determinism_bitwise():
@@ -223,12 +285,7 @@ def test_batch_matches_scalar_per_lane(name):
     batch = mlp_estimate_batch(p, 3, 2, 0.9, bundle, ledger_b)
     ledger_s = CostLedger()
     base = root(123)
-    scal = np.array(
-        [
-            mlp_estimate(p, MlpParams(3, 2, 0.9), base.spawn(j), ledger_s)
-            for j in range(1, 8)
-        ]
-    )
+    scal = np.array([estimate_scalar(p, 3, 2, 0.9, base.spawn(j), ledger_s) for j in range(1, 8)])
     assert np.array_equal(batch, scal)
     assert ledger_b == ledger_s
 
@@ -253,7 +310,7 @@ def test_batch_accepts_per_lane_times():
     bundle = StreamBundle.root_children(5, [1, 2, 3])
     out = mlp_estimate_batch(p, 2, 2, times, bundle, CostLedger())
     by_lane = [
-        mlp_estimate(p, MlpParams(2, 2, t), root(5).spawn(j), CostLedger())
+        estimate_scalar(p, 2, 2, t, root(5).spawn(j), CostLedger())
         for j, t in zip((1, 2, 3), times)
     ]
     assert np.array_equal(out, np.array(by_lane))
@@ -273,6 +330,33 @@ def test_batch_requires_batch_hooks():
     )
     with pytest.raises(ValueError, match="batch"):
         mlp_estimate_batch(bare, 1, 2, 1.0, StreamBundle.root_children(1, [1]), CostLedger())
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 2), (2, 23), (1, 600)])
+def test_scalar_entry_matches_oracle(name, n, m):
+    # (2, 23) and (1, 600) put more than one 512-draw chunk in the base term.
+    p = named_problem(name)
+    for t in (1.0, 0.37):
+        ledger, want_ledger = CostLedger(), CostLedger()
+        got = mlp_estimate(p, MlpParams(n, m, t), root(SEED).spawn(3), ledger)
+        want = estimate_scalar(p, n, m, t, root(SEED).spawn(3), want_ledger)
+        assert np.array_equal(got, want)
+        assert ledger == want_ledger
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 3)])
+def test_one_lane_matches_lane_in_batch(name, n, m):
+    # A 1-lane bundle must add its base-term chunk in the same order as a
+    # wide one (and as the oracle), whatever numpy does with one column.
+    p = named_problem(name)
+    lanes = np.arange(1, 6)
+    wide = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, lanes), CostLedger())
+    for i, j in enumerate(lanes):
+        one = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, [j]), CostLedger())
+        assert np.array_equal(one[0], wide[i])
+        assert np.array_equal(one[0], estimate_scalar(p, n, m, 0.8, root(SEED).spawn(j), CostLedger()))
 
 
 def test_realizations_are_exchangeable_across_root_indices():
@@ -344,35 +428,8 @@ def test_linear_meanfield_rmse_matches_quadrature_oracle():
     assert abs(rmse / exact - 1.0) <= 5.0 / math.sqrt(2 * reps)
 
 
-def _two_dim_problem():
-    # Rotating linear drift with a 2-vector noise payload: exercises the
-    # (lanes, dim) broadcasting paths that the scalar built-ins never hit.
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-    def sample_z(stream):
-        return np.array([stream.next_gaussian(), stream.next_gaussian()])
-
-    def sample_z_batch(bundle):
-        return np.stack([bundle.next_gaussian(), bundle.next_gaussian()], axis=-1)
-
-    return ExpectationOdeProblem(
-        name="planar_rotation",
-        dim=2,
-        xi=np.array([1.0, 0.0]),
-        horizon=1.0,
-        lipschitz=1.0,
-        sample_z=sample_z,
-        drift=lambda x, z: x @ rot.T + z,
-        f_xi_second_moment=3.0,  # ||rot xi||^2 + E||Z||^2 = 1 + 2
-        exact_mean_drift=lambda x: x @ rot.T,
-        closed_form=lambda t: np.array([math.cos(t), math.sin(t)]),
-        sample_z_batch=sample_z_batch,
-        drift_batch=lambda x, z: x @ rot.T + z,
-    )
-
-
 def test_two_dimensional_problem_end_to_end():
-    p = _two_dim_problem()
+    p = two_dim_problem()
     ledger = CostLedger()
     out = mlp_estimate(p, MlpParams(3, 2, 1.0), root(SEED), ledger)
     assert out.shape == (2,)
@@ -381,10 +438,7 @@ def test_two_dimensional_problem_end_to_end():
     bundle = StreamBundle.root_children(SEED, np.arange(1, 6))
     batch = mlp_estimate_batch(p, 3, 2, 1.0, bundle, CostLedger())
     scal = np.array(
-        [
-            mlp_estimate(p, MlpParams(3, 2, 1.0), root(SEED).spawn(j), CostLedger())
-            for j in range(1, 6)
-        ]
+        [estimate_scalar(p, 3, 2, 1.0, root(SEED).spawn(j), CostLedger()) for j in range(1, 6)]
     )
     assert batch.shape == (5, 2)
     assert np.array_equal(batch, scal)

@@ -192,13 +192,6 @@ def test_bundle_spawn_block_layout():
             assert u[i, j] == root(3).spawn(lane).spawn(k).next_uniform()
 
 
-def test_bundle_from_stream_tracks_counter():
-    s = root(123)
-    s.next_uniform()
-    b = StreamBundle.from_stream(s)
-    assert b.next_uniform()[0] == s.next_uniform()
-
-
 def test_stream_repr_and_equality():
     s = root(4).spawn(2)
     assert "path=(2,)" in repr(s)
