@@ -41,10 +41,10 @@ import numpy as np
 
 from . import __version__
 from .baseline import BaselineParams, mc_euler, mc_euler_batch, reference_solve
-from .mlp import CostLedger, _check_nm, mlp_estimate_batch, rv_bound, rv_exact
+from .mlp import CostLedger, _check_int, _check_nm, mlp_estimate_batch, rv_bound, rv_exact
 from .mlp import _estimate as _estimate_scalar  # the per-lane engine; perfbench wraps these names
 from .problems import ExpectationOdeProblem
-from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, SplittableStream, StreamBundle
+from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, SplittableStream, StreamBundle, _check_seed
 
 __all__ = [
     "BoundInputs",
@@ -290,7 +290,7 @@ def _atomic_write_text(path: str, text: str) -> None:
 def _lane_chunks(replications: int, threads: int) -> list[range]:
     """Contiguous chunks of the lane indices 1..R (chunking never affects
     per-lane values, only scheduling)."""
-    threads = max(1, min(threads, replications))
+    threads = min(threads, replications)
     bounds = np.linspace(1, replications + 1, threads + 1).astype(int)
     return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
@@ -332,8 +332,9 @@ def rmse_experiment(
     """
     if scheme not in ("mlp", "mc_euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if replications < 2:
-        raise ValueError("replications must be >= 2")
+    replications = _check_int(replications, "replications", 2)
+    threads = _check_int(threads, "threads", 1)
+    seed = _check_seed(seed)
     if not grid:
         raise ValueError("grid must be nonempty")
     t = problem.horizon if eval_time is None else float(eval_time)

@@ -16,9 +16,11 @@ i = 1..M.  Fresh draws per node keep node errors independent.
 ``mc_euler`` (one :class:`~mlpicard.rng.SplittableStream`) and
 ``mc_euler_batch`` (one realization per lane of a
 :class:`~mlpicard.rng.StreamBundle`) run the same K-step loop; the node
-average is the estimator's fresh-draw kernel, which a bundle evaluates in
-fixed chunks of 4096 draws.  Per lane the two agree bit for bit up to
-M = 4096 and to rounding beyond.
+average is the estimator's fresh-draw kernel, which a bundle sums in fixed
+chunks of 4096 draws.  Per lane the two agree bit for bit up to M = 4096
+and to rounding beyond.  The kernel draws each chunk in cache-sized
+sub-blocks that never regroup additions, so a node's draw temporaries
+stay bounded whatever M.
 
 ``reference_solve`` provides the "truth" for RMSE measurements without
 statistical error: the closed form when the problem has one, otherwise

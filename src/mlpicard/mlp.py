@@ -36,12 +36,16 @@ recursion, and per lane they draw the identical (seed, path, counter)
 values.  Only the fresh-draw sum differs by lane kind: a stream adds one
 draw at a time, a bundle adds fixed chunks of draws (see ``_draw_sum``), so
 for ``m**n`` beyond the chunk size the grouping of additions differs and
-values then agree to rounding rather than bit for bit.
+values then agree to rounding rather than bit for bit.  A bundle walks each
+chunk in cache-sized sub-blocks that carry the chunk's running sum, so the
+sub-blocks never regroup additions, and its draw temporaries stay bounded
+(see ``_SUB_BLOCK``) however large ``m**n``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,6 +67,17 @@ __all__ = [
 # Fixed (never derived from batch width or thread count) so that chunk
 # boundaries, and with them every rounding decision, depend only on (n, m).
 _BASE_CHUNK = 512
+
+# A bundle draws at most this many lane-dim elements per hook call (64 KiB
+# per float64 temporary, below glibc's 128 KiB mmap threshold, so the
+# temporaries stay in cache and are not returned to the OS between calls).
+# A worker thread uses the larger budget: there every numpy call hands the
+# GIL to a sibling thread and takes it back, and only calls this long
+# amortise the hand-off.  Sub-blocks never regroup additions (see
+# ``_draw_sum``), so unlike the chunk sizes these may depend on the lane
+# width and the thread.
+_SUB_BLOCK = 1 << 13
+_WORKER_SUB_BLOCK = 1 << 16
 
 
 @dataclass
@@ -249,16 +264,29 @@ def _draw_sum(problem, x, stream, count, chunk, ledger):
 
     The fresh-draw kernel behind both the MLP base term and the Euler node
     average; records ``count`` draws and evaluations per lane in ``ledger``.
-    A stream adds the terms one by one in ascending k.  A bundle draws
-    ``chunk`` indices per hook call, sums each chunk in ascending k and
-    adds the chunk sums in ascending order.
+    A stream adds the terms one by one in ascending k.  A bundle sums each
+    run of ``chunk`` indices in ascending k and adds the chunk sums in
+    ascending order.  It walks a chunk in sub-blocks of at most
+    ``_SUB_BLOCK`` lane-dim elements per hook call (``_WORKER_SUB_BLOCK``
+    off the main thread), carrying the chunk's partial sum as the first
+    row of the next sub-block's terms, so the chain of additions, and
+    every rounding, is the same as for one call per chunk.
     """
     sample_z, drift = _hooks(problem, stream)
     if isinstance(stream, StreamBundle):
         acc = np.zeros(stream.shape + (problem.dim,))
+        main = threading.current_thread() is threading.main_thread()
+        rows = max(1, (_SUB_BLOCK if main else _WORKER_SUB_BLOCK) // max(1, acc.size))
         for k0 in range(1, count + 1, chunk):
-            block = stream.spawn_block(np.arange(k0, min(k0 + chunk, count + 1)))
-            acc += _ascending_sum(drift(x, sample_z(block)))
+            k1 = min(k0 + chunk, count + 1)
+            part = None
+            for j0 in range(k0, k1, rows):
+                block = stream.spawn_block(np.arange(j0, min(j0 + rows, k1)))
+                terms = drift(x, sample_z(block))
+                if part is not None:
+                    terms = np.concatenate((part[None], terms))
+                part = _ascending_sum(terms)
+            acc += part
         nlanes = stream.keys.size
     else:
         acc = np.zeros(problem.dim)

@@ -59,6 +59,7 @@ _DRAW_SALT = 0x2545F4914F6CDD1D
 
 _INV_2_53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
+_ANGLE_2_53 = _TWO_PI * _INV_2_53  # exact: a power-of-two scaling
 
 _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_SPAWN = np.uint64(_SPAWN_SALT)
@@ -77,10 +78,21 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser on uint64 arrays (wrapping arithmetic)."""
-    z = (z ^ (z >> _SH30)) * _M1
-    z = (z ^ (z >> _SH27)) * _M2
-    return z ^ (z >> _SH31)
+    """SplitMix64 finaliser on uint64 arrays (wrapping arithmetic).
+
+    Works in place: ``z`` must be a fresh array that the caller owns; it is
+    overwritten with the result and returned.  One shift buffer is the only
+    temporary.
+    """
+    z = np.asarray(z)
+    t = np.empty_like(z)
+    for shift, mult in ((_SH30, _M1), (_SH27, _M2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, _SH31, out=t)
+    z ^= t
+    return z
 
 
 def _root_key(seed: int) -> int:
@@ -102,19 +114,39 @@ def _child_keys_np(keys: np.ndarray, indices) -> np.ndarray:
 
 
 def _words_np(keys: np.ndarray, counter: int) -> np.ndarray:
-    off = np.uint64(((counter + 1) * _GOLDEN) & _MASK)
-    return _mix64_np((keys ^ _U64_DRAW) + off)
+    z = keys ^ _U64_DRAW
+    z += np.uint64(((counter + 1) * _GOLDEN) & _MASK)
+    return _mix64_np(z)
+
+
+def _top53(words: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each word as float64.  The shifted words are below
+    2^53, so converting their int64 view is exact (and faster than uint64)."""
+    top = np.right_shift(words, _SH11, out=np.empty(np.shape(words), np.uint64))
+    return top.view(np.int64).astype(np.float64)
 
 
 def _uniform_from_words(words: np.ndarray) -> np.ndarray:
-    return (words >> _SH11).astype(np.float64) * _INV_2_53
+    u = _top53(words)
+    u *= _INV_2_53
+    return u
 
 
 def _gaussian_from_words(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    # u1 in (0,1] keeps the log finite; u2 in [0,1).
-    u1 = ((w1 >> _SH11) + np.uint64(1)).astype(np.float64) * _INV_2_53
-    u2 = (w2 >> _SH11).astype(np.float64) * _INV_2_53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+    # u1 in (0,1] keeps the log finite; u2 in [0,1).  Every step before log
+    # and cos is exact: top53 + 1 <= 2^53 is representable, and scaling by
+    # 2^-53 commutes with rounding, so 2*pi*2^-53 folds into one constant.
+    g = _top53(w1)
+    g += 1.0
+    g *= _INV_2_53
+    np.log(g, out=g)
+    g *= -2.0
+    np.sqrt(g, out=g)
+    c = _top53(w2)
+    c *= _ANGLE_2_53
+    np.cos(c, out=c)
+    g *= c
+    return g
 
 
 def _check_seed(seed: int) -> int:

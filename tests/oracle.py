@@ -3,7 +3,9 @@
 ``estimate_scalar`` and ``euler_scalar`` are the estimator recursion and
 the Euler loop written out one draw at a time with plain sequential
 accumulation, kept apart from the package so that engine tests compare two
-implementations rather than one engine with itself.
+implementations rather than one engine with itself.  ``mix64_np`` and
+``gaussian_from_words`` are the draw transform written with fresh arrays
+and the unfolded constants, the reference for the in-place kernel.
 """
 
 import math
@@ -11,6 +13,26 @@ import math
 import numpy as np
 
 from mlpicard.problems import BUILTIN_NAMES, ExpectationOdeProblem, builtin
+
+_INV_2_53 = 2.0 ** -53
+_TWO_PI = 2.0 * math.pi
+_SH30, _SH27, _SH31, _SH11 = (np.uint64(s) for s in (30, 27, 31, 11))
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def mix64_np(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser on uint64 arrays (wrapping arithmetic)."""
+    z = (z ^ (z >> _SH30)) * _M1
+    z = (z ^ (z >> _SH27)) * _M2
+    return z ^ (z >> _SH31)
+
+
+def gaussian_from_words(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    # u1 in (0,1] keeps the log finite; u2 in [0,1).
+    u1 = ((w1 >> _SH11) + np.uint64(1)).astype(np.float64) * _INV_2_53
+    u2 = (w2 >> _SH11).astype(np.float64) * _INV_2_53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
 def estimate_scalar(problem, n, m, t, stream, ledger):

@@ -1,5 +1,6 @@
 """Bound evaluators, schedules, the RMSE harness, and the complexity fit."""
 
+import hashlib
 import json
 import math
 import os
@@ -320,7 +321,7 @@ def _refusing_problem():
         sample_z=refuse,
         drift=refuse,
         f_xi_second_moment=0.0,
-        closed_form=lambda t: np.zeros(1),
+        closed_form=refuse,
     )
 
 
@@ -328,6 +329,44 @@ def _refusing_problem():
 def test_rmse_experiment_checks_the_whole_grid_first(scheme, grid):
     with pytest.raises(TypeError, match="must be an integer"):
         rmse_experiment(_refusing_problem(), scheme, grid, 2, SEED)
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        ({"replications": 2.5}, TypeError),
+        ({"replications": True}, TypeError),
+        ({"replications": 1}, ValueError),
+        ({"threads": 2.5}, TypeError),
+        ({"threads": 0}, ValueError),
+        ({"seed": 1.5}, TypeError),
+        ({"seed": -1}, ValueError),
+        ({"seed": 2**64}, ValueError),
+    ],
+)
+@pytest.mark.parametrize("scheme", ["mlp", "mc_euler"])
+def test_rmse_experiment_checks_its_arguments_before_computing(scheme, bad, error):
+    args = {"replications": 2, "seed": SEED, "threads": 1} | bad
+    with pytest.raises(error):
+        rmse_experiment(
+            _refusing_problem(), scheme, [(2, 2)], args["replications"], args["seed"], threads=args["threads"]
+        )
+
+
+# SHA-256 of the CSV bytes as the one-call-per-chunk draw kernel wrote them,
+# before sub-blocks.  At 40 lanes the sub-blocks cross both chunk boundaries.
+CSV_SHA256 = {
+    ("mc_euler", ((3, 5000),)): "f9b47d70bb27acd19c978dc03bc898c71e6959db8764b15fcf75a2b806cbc951",
+    ("mlp", ((2, 30), (3, 3))): "4fe23ee5cf298295574e9acdb93426a361eb7be94276dffbe3c52904af62a9f9",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scheme,grid", list(CSV_SHA256))
+def test_csv_bytes_are_pinned(scheme, grid, threads):
+    rep = rmse_experiment(builtin("linear_meanfield"), scheme, list(grid), 40, SEED, threads=threads)
+    digest = hashlib.sha256(rep.csv_text().encode()).hexdigest()
+    assert digest == CSV_SHA256[scheme, grid]
 
 
 def test_mc_euler_rows_carry_grid_and_cost():

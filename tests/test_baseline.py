@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -90,15 +91,33 @@ def test_scalar_entry_matches_oracle(name, K, M):
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_one_lane_matches_lane_in_batch(name):
     # M = 100 draws per node: a single column would be summed pairwise by
-    # numpy; the engine must keep ascending order at every lane count.
+    # numpy; the engine must keep ascending order at every lane count.  At
+    # 40 lanes a node's chunk spans several sub-blocks (M = 300, 4100 and
+    # 5000), and M > 4096 crosses a chunk boundary too.  Up to one chunk a
+    # lane also matches the oracle.
     p = named_problem(name)
-    params = BaselineParams(3, 100)
-    lanes = [1, 2, 3]
-    wide = mc_euler_batch(p, params, StreamBundle.root_children(SEED, lanes))
-    for i, j in enumerate(lanes):
-        one = mc_euler_batch(p, params, StreamBundle.root_children(SEED, [j]))
-        assert np.array_equal(one[0], wide[i])
-        assert np.array_equal(one[0], euler_scalar(p, params, root(SEED).spawn(j)))
+    lanes = np.arange(1, 41)
+    for K, M in [(3, 100), (2, 300), (1, 4100), (1, 5000)]:
+        params = BaselineParams(K, M)
+        wide = mc_euler_batch(p, params, StreamBundle.root_children(SEED, lanes))
+        for i, j in enumerate(lanes):
+            one = mc_euler_batch(p, params, StreamBundle.root_children(SEED, [j]))
+            assert np.array_equal(one[0], wide[i])
+            if M <= 4096:
+                assert np.array_equal(one[0], euler_scalar(p, params, root(SEED).spawn(j)))
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_worker_thread_gives_the_same_bits(name):
+    # Off the main thread a bundle draws larger sub-blocks; at 40 lanes
+    # both threads split a 4096-draw chunk, at different rows.
+    p = named_problem(name)
+
+    def run():
+        return mc_euler_batch(p, BaselineParams(2, 5000), StreamBundle.root_children(SEED, np.arange(1, 41)))
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert np.array_equal(pool.submit(run).result(timeout=60), run())
 
 
 def test_batch_requires_batch_hooks():

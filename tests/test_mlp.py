@@ -1,6 +1,7 @@
 """Estimator recursion, exact cost laws, and the scalar/batch agreement."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -346,17 +347,33 @@ def test_scalar_entry_matches_oracle(name, n, m):
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
-@pytest.mark.parametrize("n,m", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 3), (1, 500), (2, 30), (1, 600)])
 def test_one_lane_matches_lane_in_batch(name, n, m):
     # A 1-lane bundle must add its base-term chunk in the same order as a
-    # wide one (and as the oracle), whatever numpy does with one column.
+    # wide one, whatever numpy does with one column.  At 40 lanes a 512-draw
+    # chunk spans several sub-blocks; (2, 30) and (1, 600) cross a chunk
+    # boundary too.  Up to one chunk a lane also matches the oracle.
     p = named_problem(name)
-    lanes = np.arange(1, 6)
+    lanes = np.arange(1, 41)
     wide = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, lanes), CostLedger())
     for i, j in enumerate(lanes):
         one = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, [j]), CostLedger())
         assert np.array_equal(one[0], wide[i])
-        assert np.array_equal(one[0], estimate_scalar(p, n, m, 0.8, root(SEED).spawn(j), CostLedger()))
+        if m**n <= 512:
+            assert np.array_equal(one[0], estimate_scalar(p, n, m, 0.8, root(SEED).spawn(j), CostLedger()))
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_worker_thread_gives_the_same_bits(name):
+    # Off the main thread a bundle draws larger sub-blocks; at 200 lanes
+    # both threads split a 512-draw chunk, at different rows.
+    p = named_problem(name)
+
+    def run():
+        return mlp_estimate_batch(p, 1, 600, 0.8, StreamBundle.root_children(SEED, np.arange(1, 201)), CostLedger())
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert np.array_equal(pool.submit(run).result(timeout=60), run())
 
 
 def test_realizations_are_exchangeable_across_root_indices():

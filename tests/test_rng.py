@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracle
+from mlpicard import rng
 from mlpicard.rng import SplittableStream, StreamBundle, root
 
 # 5-sigma band half-widths for the Monte Carlo checks below; each matches
@@ -128,6 +130,40 @@ def test_block_draws_match_scalar_draws():
     a, b = root(5), root(5)
     assert np.array_equal(a.gaussians(64), np.array([b.next_gaussian() for _ in range(64)]))
     assert a.counter == b.counter == 128
+
+
+def _gaussian_bytes(w1, w2):
+    """The package's Gaussians for two word arrays, checking the inputs are left intact."""
+    k1, k2 = w1.copy(), w2.copy()
+    g = rng._gaussian_from_words(w1, w2)
+    assert np.array_equal(w1, k1) and np.array_equal(w2, k2)
+    return g.tobytes()
+
+
+def test_draw_kernel_matches_fresh_array_oracle_on_random_words():
+    words = np.random.default_rng(2021).integers(0, 2**64, size=(2, 10**5), dtype=np.uint64)
+    assert np.array_equal(rng._mix64_np(words[0].copy()), oracle.mix64_np(words[0]))
+    assert _gaussian_bytes(words[0], words[1]) == oracle.gaussian_from_words(words[0], words[1]).tobytes()
+
+
+def test_draw_kernel_matches_fresh_array_oracle_on_edge_words():
+    top = (2**53 - 1) << 11  # w >> 11 == 2^53 - 1: u1 == 1 gives a signed zero
+    edge = np.array([0, 2**64 - 1, top, 1 << 11, 0x7FF], dtype=np.uint64)
+    w1, w2 = (a.ravel() for a in np.meshgrid(edge, edge, indexing="ij"))
+    got = _gaussian_bytes(w1, w2)
+    assert got == oracle.gaussian_from_words(w1, w2).tobytes()
+    assert np.signbit(np.frombuffer(got)[w1 == top]).any()
+    assert np.array_equal(rng._mix64_np(edge.copy()), oracle.mix64_np(edge))
+
+
+def test_stream_block_draws_match_oracle_through_strided_views():
+    # gaussians() hands the kernel the even and odd words as strided views.
+    s = root(31).spawn(4).spawn(-2)
+    s.next_uniform()  # an odd counter offset
+    words = np.array([rng._word(s._key, c) for c in range(1, 2004)], dtype=np.uint64)
+    want = oracle.gaussian_from_words(words[0:2000:2], words[1:2000:2])
+    assert s.gaussians(1000).tobytes() == want.tobytes()
+    assert np.array_equal(s.uniforms(3), (words[2000:] >> np.uint64(11)) * 2.0**-53)
 
 
 def _battery_paths():
