@@ -36,10 +36,16 @@ recursion, and per lane they draw the identical (seed, path, counter)
 values.  Only the fresh-draw sum differs by lane kind: a stream adds one
 draw at a time, a bundle adds fixed chunks of draws (see ``_draw_sum``), so
 for ``m**n`` beyond the chunk size the grouping of additions differs and
-values then agree to rounding rather than bit for bit.  A bundle walks each
-chunk in cache-sized sub-blocks that carry the chunk's running sum, so the
-sub-blocks never regroup additions, and its draw temporaries stay bounded
-(see ``_SUB_BLOCK``) however large ``m**n``.
+values then agree to rounding rather than bit for bit.
+
+A stream walks a level's coupled nodes one ``k`` at a time.  A bundle
+draws them in node blocks: one ``spawn_block`` call gives every node of a
+block as a new leading lane axis, and the A- and B-recursions run once per
+block on those wider bundles.  Node blocks, and the sub-blocks in which a
+bundle walks a fresh-draw chunk, share one element budget (see
+``_SUB_BLOCK``) and one carried chain (``_chain_sum``): each block's terms
+follow the running sum, so blocking never regroups additions and the
+temporaries stay bounded however large ``m**n``.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -68,14 +74,14 @@ __all__ = [
 # boundaries, and with them every rounding decision, depend only on (n, m).
 _BASE_CHUNK = 512
 
-# A bundle draws at most this many lane-dim elements per hook call (64 KiB
-# per float64 temporary, below glibc's 128 KiB mmap threshold, so the
-# temporaries stay in cache and are not returned to the OS between calls).
-# A worker thread uses the larger budget: there every numpy call hands the
-# GIL to a sibling thread and takes it back, and only calls this long
-# amortise the hand-off.  Sub-blocks never regroup additions (see
-# ``_draw_sum``), so unlike the chunk sizes these may depend on the lane
-# width and the thread.
+# A bundle draws at most this many lane-dim elements per hook call, and
+# recurses into at most this many per node block (64 KiB per float64
+# temporary, below glibc's 128 KiB mmap threshold, so the temporaries come
+# from the heap and stay in cache).  A worker thread uses the larger
+# budget: there every numpy call hands the GIL to a sibling thread and
+# takes it back, and only calls this long amortise the hand-off.  Blocks
+# never regroup additions (see ``_chain_sum``), so unlike the chunk sizes
+# these may depend on the lane width and the thread.
 _SUB_BLOCK = 1 << 13
 _WORKER_SUB_BLOCK = 1 << 16
 
@@ -214,11 +220,12 @@ def _estimate(problem, n, m, t, stream, ledger):
 
     ``stream`` is a :class:`SplittableStream` with ``t`` a float, or a
     :class:`StreamBundle` with ``t`` a float64 array of its lane shape.
+    A bundle adds a level's coupled differences in node blocks, carrying
+    the running sum ``0 + d_1 + d_2 + ...`` from block to block.
     """
     lanes = getattr(t, "shape", ())  # a float t has no shape: one stream
     if n == 0:
         return _initial_state(problem, lanes)
-    sample_z, drift = _hooks(problem, stream)
     t_col = t[..., None] if lanes else t  # per-lane time against (*lanes, dim)
 
     count = m**n
@@ -230,19 +237,38 @@ def _estimate(problem, n, m, t, stream, ledger):
         level = stream.spawn(l)
         width = m ** (n - l)
         acc = np.zeros(lanes + (problem.dim,))
-        for k in range(1, width + 1):
-            node = level.spawn(k)
-            r = node.next_uniform()
-            z = sample_z(node)
-            s = r * t
-            a = _estimate(problem, l, m, s, node, ledger)
-            b = _estimate(problem, l - 1, m, s, level.spawn(-k), ledger)
-            acc += drift(a, z) - drift(b, z)
+        if isinstance(stream, StreamBundle):
+            terms = partial(_coupled_terms, problem, l, m, t, level, ledger)
+            acc = _chain_sum(terms, 1, width + 1, _block_rows(acc.size), acc)
+        else:
+            sample_z, drift = problem.sample_z, problem.drift
+            for k in range(1, width + 1):
+                node = level.spawn(k)
+                r = node.next_uniform()
+                z = sample_z(node)
+                s = r * t
+                a = _estimate(problem, l, m, s, node, ledger)
+                b = _estimate(problem, l - 1, m, s, level.spawn(-k), ledger)
+                acc += drift(a, z) - drift(b, z)
         ledger.uniform_draws += width * nlanes
         ledger.z_draws += width * nlanes
         ledger.f_evals += 2 * width * nlanes
         out = out + (t_col / width) * acc
     return out
+
+
+def _coupled_terms(problem, l, m, t, level, ledger, ks):
+    """``F(A_k, Z_k) - F(B_k, Z_k)`` for a block ``ks`` of node indices of
+    the level bundle ``level``, shape ``(len(ks), *lanes, dim)``: one A- and
+    one B-recursion for the whole block.  A level-1 B is ``xi`` and draws
+    nothing, so its keys are not derived.  ``r`` and ``F(A, Z)`` are taken
+    early, so a descent keeps fewer arrays alive."""
+    nodes = level.spawn_block(ks)
+    s = nodes.next_uniform() * t
+    z = problem.sample_z_batch(nodes)
+    fa = problem.drift_batch(_estimate(problem, l, m, s, nodes, ledger), z)
+    b_nodes = level.spawn_block(-ks) if l > 1 else None
+    return fa - problem.drift_batch(_estimate(problem, l - 1, m, s, b_nodes, ledger), z)
 
 
 def _hooks(problem, stream):
@@ -266,27 +292,21 @@ def _draw_sum(problem, x, stream, count, chunk, ledger):
     average; records ``count`` draws and evaluations per lane in ``ledger``.
     A stream adds the terms one by one in ascending k.  A bundle sums each
     run of ``chunk`` indices in ascending k and adds the chunk sums in
-    ascending order.  It walks a chunk in sub-blocks of at most
-    ``_SUB_BLOCK`` lane-dim elements per hook call (``_WORKER_SUB_BLOCK``
-    off the main thread), carrying the chunk's partial sum as the first
-    row of the next sub-block's terms, so the chain of additions, and
-    every rounding, is the same as for one call per chunk.
+    ascending order.  It walks a chunk with ``_chain_sum`` in sub-blocks of
+    ``_block_rows`` indices, the budget that node blocks use too, so the
+    chain of additions, and every rounding, is the same as for one call
+    per chunk.
     """
     sample_z, drift = _hooks(problem, stream)
     if isinstance(stream, StreamBundle):
         acc = np.zeros(stream.shape + (problem.dim,))
-        main = threading.current_thread() is threading.main_thread()
-        rows = max(1, (_SUB_BLOCK if main else _WORKER_SUB_BLOCK) // max(1, acc.size))
+        rows = _block_rows(acc.size)
+
+        def terms(ks):
+            return drift(x, sample_z(stream.spawn_block(ks)))
+
         for k0 in range(1, count + 1, chunk):
-            k1 = min(k0 + chunk, count + 1)
-            part = None
-            for j0 in range(k0, k1, rows):
-                block = stream.spawn_block(np.arange(j0, min(j0 + rows, k1)))
-                terms = drift(x, sample_z(block))
-                if part is not None:
-                    terms = np.concatenate((part[None], terms))
-                part = _ascending_sum(terms)
-            acc += part
+            acc += _chain_sum(terms, k0, min(k0 + chunk, count + 1), rows)
         nlanes = stream.keys.size
     else:
         acc = np.zeros(problem.dim)
@@ -296,6 +316,28 @@ def _draw_sum(problem, x, stream, count, chunk, ledger):
     ledger.z_draws += count * nlanes
     ledger.f_evals += count * nlanes
     return acc
+
+
+def _block_rows(row_size):
+    """Indices per block when each index adds ``row_size`` lane-dim
+    elements: ``_SUB_BLOCK`` elements on the main thread,
+    ``_WORKER_SUB_BLOCK`` off it, and at least one index."""
+    main = threading.current_thread() is threading.main_thread()
+    return max(1, (_SUB_BLOCK if main else _WORKER_SUB_BLOCK) // max(1, row_size))
+
+
+def _chain_sum(terms, k0, k1, rows, part=None):
+    """``part + terms(k0) + ... + terms(k1 - 1)`` added in that order
+    (``part=None`` starts at the first term).  ``terms`` maps blocks of at
+    most ``rows`` indices to one row each; the running sum is carried as
+    the first row of the next block, so blocking never regroups additions.
+    """
+    for j0 in range(k0, k1, rows):
+        block = terms(np.arange(j0, min(j0 + rows, k1)))
+        if part is not None:
+            block = np.concatenate((part[None], block))
+        part = _ascending_sum(block)
+    return part
 
 
 def _ascending_sum(terms):

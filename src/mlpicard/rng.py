@@ -113,10 +113,11 @@ def _child_keys_np(keys: np.ndarray, indices) -> np.ndarray:
     return _mix64_np((keys ^ _U64_SPAWN) + idx * _U64_GOLDEN)
 
 
-def _words_np(keys: np.ndarray, counter: int) -> np.ndarray:
-    z = keys ^ _U64_DRAW
-    z += np.uint64(((counter + 1) * _GOLDEN) & _MASK)
-    return _mix64_np(z)
+def _words_np(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
+    """The words at counters ``counter .. counter+count-1`` of every key,
+    one ``_mix64_np`` call, shape ``(count, *keys.shape)``."""
+    steps = np.arange(counter + 1, counter + count + 1, dtype=np.uint64) * _U64_GOLDEN
+    return _mix64_np((keys ^ _U64_DRAW) + steps.reshape((count,) + (1,) * keys.ndim))
 
 
 def _top53(words: np.ndarray) -> np.ndarray:
@@ -225,16 +226,14 @@ class SplittableStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms as a float64 array (counter advances)."""
-        counters = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
-        words = _mix64_np((np.uint64(self._key) ^ _U64_DRAW) + counters * _U64_GOLDEN)
+        words = _words_np(np.uint64(self._key), self.counter, count)
         self.counter += count
         return _uniform_from_words(words)
 
     def gaussians(self, count: int) -> np.ndarray:
         """The next ``count`` gaussians (2*count counters), matching
         repeated :meth:`next_gaussian` calls bit for bit."""
-        counters = np.arange(self.counter + 1, self.counter + 2 * count + 1, dtype=np.uint64)
-        words = _mix64_np((np.uint64(self._key) ^ _U64_DRAW) + counters * _U64_GOLDEN)
+        words = _words_np(np.uint64(self._key), self.counter, 2 * count)
         self.counter += 2 * count
         return _gaussian_from_words(words[0::2], words[1::2])
 
@@ -290,15 +289,14 @@ class StreamBundle:
         return StreamBundle(_child_keys_np(self.keys[None, ...], idx.reshape((-1,) + (1,) * self.keys.ndim)))
 
     def next_uniform(self) -> np.ndarray:
-        u = _uniform_from_words(_words_np(self.keys, self.counter))
+        u = _uniform_from_words(_words_np(self.keys, self.counter, 1)[0])
         self.counter += 1
         return u
 
     def next_gaussian(self) -> np.ndarray:
-        w1 = _words_np(self.keys, self.counter)
-        w2 = _words_np(self.keys, self.counter + 1)
+        words = _words_np(self.keys, self.counter, 2)
         self.counter += 2
-        return _gaussian_from_words(w1, w2)
+        return _gaussian_from_words(words[0], words[1])
 
     def __repr__(self) -> str:
         return f"StreamBundle(shape={self.keys.shape}, counter={self.counter})"

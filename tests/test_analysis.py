@@ -369,6 +369,20 @@ def test_csv_bytes_are_pinned(scheme, grid, threads):
     assert digest == CSV_SHA256[scheme, grid]
 
 
+# SHA-256 of the CSV bytes before MLP levels were drawn in node blocks.  At
+# 1000 lanes the main thread draws 8 nodes per block, so the width-36 level
+# of (3, 6) splits into 5 blocks; a worker's 500 lanes take it in one.  The
+# CSV holds only the RMSE, which a last-bit change in some lanes need not
+# move; test_mlp pins the estimates themselves.
+NODE_BLOCK_CSV_SHA256 = "a492eddeae888f27aed8da779373584a28735178e137ab6dcffab881baec6afe"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_node_blocked_csv_bytes_are_pinned(threads):
+    rep = rmse_experiment(builtin("linear_meanfield"), "mlp", [(3, 6), (4, 3)], 1000, SEED, threads=threads)
+    assert hashlib.sha256(rep.csv_text().encode()).hexdigest() == NODE_BLOCK_CSV_SHA256
+
+
 def test_mc_euler_rows_carry_grid_and_cost():
     rep = rmse_experiment(builtin("linear_meanfield"), "mc_euler", [(5, 4), (10, 8)], 20, SEED)
     assert (rep.rows[0].n, rep.rows[0].m) == (5, 4)
