@@ -42,10 +42,13 @@ A stream walks a level's coupled nodes one ``k`` at a time.  A bundle
 draws them in node blocks: one ``spawn_block`` call gives every node of a
 block as a new leading lane axis, and the A- and B-recursions run once per
 block on those wider bundles.  Node blocks, and the sub-blocks in which a
-bundle walks a fresh-draw chunk, share one element budget (see
-``_SUB_BLOCK``) and one carried chain (``_chain_sum``): each block's terms
-follow the running sum, so blocking never regroups additions and the
-temporaries stay bounded however large ``m**n``.
+bundle walks a fresh-draw chunk, each have an element budget (see
+``_DRAW_BLOCK``) and share one carried chain (``_chain_sum``): each block's
+terms follow the running sum, so blocking never regroups additions and the
+temporaries stay bounded however large ``m**n``.  The draw kernel's
+temporaries, a sub-block's keys and the carried chain live in the
+per-thread scratch of :mod:`mlpicard.rng`, so repeated draws reuse their
+memory.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .problems import ExpectationOdeProblem
-from .rng import SplittableStream, StreamBundle
+from .rng import _CHAIN, SplittableStream, StreamBundle, _leaf_block, _scratch_array
 
 __all__ = [
     "CostLedger",
@@ -74,16 +77,20 @@ __all__ = [
 # boundaries, and with them every rounding decision, depend only on (n, m).
 _BASE_CHUNK = 512
 
-# A bundle draws at most this many lane-dim elements per hook call, and
-# recurses into at most this many per node block (64 KiB per float64
-# temporary, below glibc's 128 KiB mmap threshold, so the temporaries come
-# from the heap and stay in cache).  A worker thread uses the larger
-# budget: there every numpy call hands the GIL to a sibling thread and
-# takes it back, and only calls this long amortise the hand-off.  Blocks
-# never regroup additions (see ``_chain_sum``), so unlike the chunk sizes
-# these may depend on the lane width and the thread.
-_SUB_BLOCK = 1 << 13
-_WORKER_SUB_BLOCK = 1 << 16
+# Element budgets of a bundle's blocks, in lane-dim elements.  A fresh-draw
+# sub-block (one hook call) takes _DRAW_BLOCK on every thread: its
+# temporaries live in reused per-thread scratch, so a large block costs no
+# heap churn.  Of 2^14, 2^15 and 2^16, 2^15 was the fastest within noise
+# on one thread and on two, and 2^16 raised peak RSS by 11%.
+# A node block keeps the arrays of its whole descent alive, so it takes
+# less: _NODE_BLOCK on the main thread and _WORKER_NODE_BLOCK off it.  In a
+# worker every numpy call hands the GIL to a sibling thread and takes it
+# back, and only calls this long amortise the hand-off.  Blocks never
+# regroup additions (see ``_chain_sum``), so unlike the chunk sizes these
+# may depend on the lane width and the thread.
+_DRAW_BLOCK = 1 << 15
+_NODE_BLOCK = 1 << 13
+_WORKER_NODE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -210,8 +217,15 @@ def _check_entry(problem, n, m, t, stream):
         t = np.broadcast_to(np.asarray(t, dtype=np.float64), stream.shape)
     else:
         t = float(t)
-    if not np.all((t >= 0.0) & (t <= problem.horizon)):
-        raise ValueError(f"time t must lie in [0, {problem.horizon}], got {t}")
+    inside = (t >= 0.0) & (t <= problem.horizon)
+    if not np.all(inside):
+        if np.ndim(t) == 0:
+            raise ValueError(f"time t must lie in [0, {problem.horizon}], got {t}")
+        bad = np.extract(~inside, t)
+        raise ValueError(
+            f"time t must lie in [0, {problem.horizon}]; {bad.size} of {t.size} "
+            f"lanes lie outside, the first at t={bad[0]}"
+        )
     return n, m, t
 
 
@@ -239,7 +253,7 @@ def _estimate(problem, n, m, t, stream, ledger):
         acc = np.zeros(lanes + (problem.dim,))
         if isinstance(stream, StreamBundle):
             terms = partial(_coupled_terms, problem, l, m, t, level, ledger)
-            acc = _chain_sum(terms, 1, width + 1, _block_rows(acc.size), acc)
+            acc = _chain_sum(terms, 1, width + 1, _block_rows(acc.size, _node_budget()), acc)
         else:
             sample_z, drift = problem.sample_z, problem.drift
             for k in range(1, width + 1):
@@ -293,17 +307,17 @@ def _draw_sum(problem, x, stream, count, chunk, ledger):
     A stream adds the terms one by one in ascending k.  A bundle sums each
     run of ``chunk`` indices in ascending k and adds the chunk sums in
     ascending order.  It walks a chunk with ``_chain_sum`` in sub-blocks of
-    ``_block_rows`` indices, the budget that node blocks use too, so the
-    chain of additions, and every rounding, is the same as for one call
-    per chunk.
+    at most ``_DRAW_BLOCK`` lane-dim elements, so the chain of additions,
+    and every rounding, is the same as for one call per chunk.  A
+    sub-block's keys live in scratch, valid for its one ``sample_z`` call.
     """
     sample_z, drift = _hooks(problem, stream)
     if isinstance(stream, StreamBundle):
         acc = np.zeros(stream.shape + (problem.dim,))
-        rows = _block_rows(acc.size)
+        rows = _block_rows(acc.size, _DRAW_BLOCK)
 
         def terms(ks):
-            return drift(x, sample_z(stream.spawn_block(ks)))
+            return drift(x, sample_z(_leaf_block(stream, ks)))
 
         for k0 in range(1, count + 1, chunk):
             acc += _chain_sum(terms, k0, min(k0 + chunk, count + 1), rows)
@@ -318,12 +332,17 @@ def _draw_sum(problem, x, stream, count, chunk, ledger):
     return acc
 
 
-def _block_rows(row_size):
+def _block_rows(row_size, budget):
     """Indices per block when each index adds ``row_size`` lane-dim
-    elements: ``_SUB_BLOCK`` elements on the main thread,
-    ``_WORKER_SUB_BLOCK`` off it, and at least one index."""
+    elements: as many as fit ``budget`` elements, and at least one."""
+    return max(1, budget // max(1, row_size))
+
+
+def _node_budget():
+    """The node-block budget: ``_NODE_BLOCK`` elements on the main thread,
+    ``_WORKER_NODE_BLOCK`` off it."""
     main = threading.current_thread() is threading.main_thread()
-    return max(1, (_SUB_BLOCK if main else _WORKER_SUB_BLOCK) // max(1, row_size))
+    return _NODE_BLOCK if main else _WORKER_NODE_BLOCK
 
 
 def _chain_sum(terms, k0, k1, rows, part=None):
@@ -335,7 +354,12 @@ def _chain_sum(terms, k0, k1, rows, part=None):
     for j0 in range(k0, k1, rows):
         block = terms(np.arange(j0, min(j0 + rows, k1)))
         if part is not None:
-            block = np.concatenate((part[None], block))
+            # Filled only once terms() has returned: node blocks nest, so
+            # terms() runs chains of its own on this thread's scratch.
+            chain = _scratch_array(_CHAIN, (len(block) + 1,) + part.shape, np.result_type(part, block))
+            chain[0] = part
+            chain[1:] = block
+            block = chain
         part = _ascending_sum(block)
     return part
 

@@ -21,7 +21,11 @@ the fast estimator path.  They must consume draws from their
 :class:`~mlpicard.rng.StreamBundle` in exactly the pattern the scalar
 ``sample_z`` uses on a :class:`~mlpicard.rng.SplittableStream`; the batch
 drift receives states shaped (..., dim) and the batch Z payload and must
-broadcast to (..., dim).  Problems without batch hooks still work
+broadcast to (..., dim).  A batch hook must not keep the bundle it is
+handed past the call: the estimators hand ``sample_z_batch`` bundles whose
+keys live in per-thread scratch that the next draw on the thread
+overwrites (see :mod:`mlpicard.rng`).  The arrays that bundle's draws
+return are fresh and may be kept.  Problems without batch hooks still work
 everywhere, just slower.
 """
 

@@ -32,11 +32,24 @@ sine partner is discarded; one gaussian always consumes two counters).
 :class:`StreamBundle` advances many streams in lockstep with numpy and
 produces bit-identical values lane by lane; the vectorised estimators are
 built on it.
+
+The array kernels keep their temporaries (the ``_mix64_np`` shift buffer,
+the ``_words_np`` word block, the ``_top53`` shift target, the Gaussian's
+cosine argument, and the leaf key block and carried-chain block of the
+estimators' fresh-draw sums) in per-thread scratch: grow-only flat buffers
+that live as long as their thread, so repeated draws reuse the same memory
+instead of allocating and freeing it.  A draw is a pure function of (key,
+counter), so where its bytes are stored cannot change them.  The lifetime
+rule: a scratch view is valid only until the next kernel call on the same
+thread that uses its slot, so no scratch view is returned by a public
+method or kept across a call that may draw.  Every array a public method
+returns is fresh.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -68,6 +81,33 @@ _SH30, _SH27, _SH31, _SH11 = (np.uint64(s) for s in (30, 27, 31, 11))
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
+# Scratch slots (see the module docstring).  The Gaussian's cosine
+# argument reuses the word block's slot once its words are spent.  The
+# carried chain of a fresh-draw sum keeps a slot of its own: with the chain
+# in the word block's slot, a fresh process trimmed and refaulted its heap
+# after every sub-block again (148k against 9k minor faults on the
+# n = m = 5 MLP row at 1000 lanes).  A request above _SCRATCH_MAX_BYTES
+# gets a fresh array, so a thread holds at most 1 MiB per slot whatever
+# size a caller asks for.
+_SHIFT, _WORDS, _LEAF_KEYS, _CHAIN = "shift", "words", "leaf_keys", "chain"
+_SCRATCH_MAX_BYTES = 1 << 20
+_U64, _F64 = np.dtype(np.uint64), np.dtype(np.float64)
+_scratch = threading.local()
+
+
+def _scratch_array(slot: str, shape: tuple[int, ...], dtype: np.dtype = _U64) -> np.ndarray:
+    """This thread's scratch buffer ``slot`` viewed as a C-contiguous array
+    of ``shape`` and ``dtype`` (a ``np.dtype``), contents undefined.  The
+    buffer only grows, and is replaced when it does."""
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > _SCRATCH_MAX_BYTES:
+        return np.empty(shape, dtype)
+    buf = getattr(_scratch, slot, None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = np.empty(nbytes, np.uint8)
+        setattr(_scratch, slot, buf)
+    return np.ndarray(shape, dtype, buf)
+
 
 def _mix64(z: int) -> int:
     """SplitMix64 finaliser on Python ints (mod 2^64)."""
@@ -80,12 +120,12 @@ def _mix64(z: int) -> int:
 def _mix64_np(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finaliser on uint64 arrays (wrapping arithmetic).
 
-    Works in place: ``z`` must be a fresh array that the caller owns; it is
-    overwritten with the result and returned.  One shift buffer is the only
-    temporary.
+    Works in place: ``z`` must be an array that the caller owns; it is
+    overwritten with the result and returned.  The shift buffer is the
+    thread's scratch.
     """
     z = np.asarray(z)
-    t = np.empty_like(z)
+    t = _scratch_array(_SHIFT, z.shape)
     for shift, mult in ((_SH30, _M1), (_SH27, _M2)):
         np.right_shift(z, shift, out=t)
         z ^= t
@@ -107,24 +147,49 @@ def _word(key: int, counter: int) -> int:
     return _mix64((key ^ _DRAW_SALT) + (((counter + 1) & _MASK) * _GOLDEN))
 
 
-def _child_keys_np(keys: np.ndarray, indices) -> np.ndarray:
-    """Vector form of :func:`_child_key`; broadcasts keys against indices."""
-    idx = np.asarray(indices, dtype=np.int64).astype(np.uint64)
-    return _mix64_np((keys ^ _U64_SPAWN) + idx * _U64_GOLDEN)
+def _child_keys_np(keys: np.ndarray, indices, out=None) -> np.ndarray:
+    """Vector form of :func:`_child_key`; broadcasts keys against indices.
+    The keys are written to ``out`` when given, else to a fresh array."""
+    idx = np.asarray(indices, dtype=np.int64).view(np.uint64)
+    return _mix64_np(np.add(keys ^ _U64_SPAWN, idx * _U64_GOLDEN, out=out))
+
+
+def _spawn_block(bundle: "StreamBundle", indices: np.ndarray, out=None) -> "StreamBundle":
+    """The child bundle over a block of int64 ``indices``, keys shape
+    ``(len(indices), *bundle.shape)``, written to ``out`` when given."""
+    keys = bundle.keys
+    return StreamBundle(_child_keys_np(keys, indices.reshape((-1,) + (1,) * keys.ndim), out))
+
+
+def _leaf_block(bundle: "StreamBundle", indices: np.ndarray) -> "StreamBundle":
+    """``bundle.spawn_block(indices)`` with its keys in this thread's
+    scratch: valid until the next leaf block on the thread, so it serves
+    only a draw that ends before the next one starts."""
+    out = _scratch_array(_LEAF_KEYS, (len(indices),) + bundle.shape)
+    return _spawn_block(bundle, indices, out)
 
 
 def _words_np(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
     """The words at counters ``counter .. counter+count-1`` of every key,
-    one ``_mix64_np`` call, shape ``(count, *keys.shape)``."""
+    one ``_mix64_np`` call, shape ``(count, *keys.shape)``, in this
+    thread's scratch."""
     steps = np.arange(counter + 1, counter + count + 1, dtype=np.uint64) * _U64_GOLDEN
-    return _mix64_np((keys ^ _U64_DRAW) + steps.reshape((count,) + (1,) * keys.ndim))
+    words = _scratch_array(_WORDS, (count,) + keys.shape)
+    np.bitwise_xor(keys, _U64_DRAW, out=words)
+    words += steps.reshape((count,) + (1,) * keys.ndim)
+    return _mix64_np(words)
 
 
-def _top53(words: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each word as float64.  The shifted words are below
-    2^53, so converting their int64 view is exact (and faster than uint64)."""
-    top = np.right_shift(words, _SH11, out=np.empty(np.shape(words), np.uint64))
-    return top.view(np.int64).astype(np.float64)
+def _top53(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The top 53 bits of each word as float64, in ``out`` when given, else
+    in a fresh array.  The words are shifted into the thread's scratch; the
+    shifted words are below 2^53, so converting their int64 view is exact
+    (and faster than uint64)."""
+    top = np.right_shift(words, _SH11, out=_scratch_array(_SHIFT, words.shape)).view(np.int64)
+    if out is None:
+        return top.astype(np.float64)
+    np.copyto(out, top)
+    return out
 
 
 def _uniform_from_words(words: np.ndarray) -> np.ndarray:
@@ -143,7 +208,9 @@ def _gaussian_from_words(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     np.log(g, out=g)
     g *= -2.0
     np.sqrt(g, out=g)
-    c = _top53(w2)
+    # The cosine argument may reuse the words' memory: _top53 shifts all of
+    # w2 out before it writes there.
+    c = _top53(w2, _scratch_array(_WORDS, w2.shape, _F64))
     c *= _ANGLE_2_53
     np.cos(c, out=c)
     g *= c
@@ -285,8 +352,7 @@ class StreamBundle:
 
     def spawn_block(self, indices) -> "StreamBundle":
         """Child bundle over a block of indices: keys shape (len(indices), *shape)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return StreamBundle(_child_keys_np(self.keys[None, ...], idx.reshape((-1,) + (1,) * self.keys.ndim)))
+        return _spawn_block(self, np.asarray(indices, dtype=np.int64))
 
     def next_uniform(self) -> np.ndarray:
         u = _uniform_from_words(_words_np(self.keys, self.counter, 1)[0])

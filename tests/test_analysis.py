@@ -354,7 +354,8 @@ def test_rmse_experiment_checks_its_arguments_before_computing(scheme, bad, erro
 
 
 # SHA-256 of the CSV bytes as the one-call-per-chunk draw kernel wrote them,
-# before sub-blocks.  At 40 lanes the sub-blocks cross both chunk boundaries.
+# before sub-blocks.  At 40 lanes each 4096-draw Euler chunk spans several
+# sub-blocks.
 CSV_SHA256 = {
     ("mc_euler", ((3, 5000),)): "f9b47d70bb27acd19c978dc03bc898c71e6959db8764b15fcf75a2b806cbc951",
     ("mlp", ((2, 30), (3, 3))): "4fe23ee5cf298295574e9acdb93426a361eb7be94276dffbe3c52904af62a9f9",

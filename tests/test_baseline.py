@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from mlpicard import mlp
 from mlpicard.analysis import rmse_experiment
 from mlpicard.baseline import (
     BaselineParams,
@@ -92,8 +93,8 @@ def test_scalar_entry_matches_oracle(name, K, M):
 def test_one_lane_matches_lane_in_batch(name):
     # M = 100 draws per node: a single column would be summed pairwise by
     # numpy; the engine must keep ascending order at every lane count.  At
-    # 40 lanes a node's chunk spans several sub-blocks (M = 300, 4100 and
-    # 5000), and M > 4096 crosses a chunk boundary too.  Up to one chunk a
+    # 40 lanes a node's chunk spans several sub-blocks (M = 4100 and 5000),
+    # and M > 4096 crosses a chunk boundary too.  Up to one chunk a
     # lane also matches the oracle.
     p = named_problem(name)
     lanes = np.arange(1, 41)
@@ -107,10 +108,29 @@ def test_one_lane_matches_lane_in_batch(name):
                 assert np.array_equal(one[0], euler_scalar(p, params, root(SEED).spawn(j)))
 
 
+@pytest.mark.parametrize("budget", [1, 7, 64])
+@pytest.mark.parametrize("name", ["linear_meanfield", "planar_rotation"])
+def test_draw_budget_never_changes_bits(monkeypatch, name, budget):
+    # Budgets of a few elements split every node's draws into many
+    # sub-blocks (at 1 lane and at 5, in 1-D and 2-D); any budget must give
+    # the oracle's bits.
+    monkeypatch.setattr(mlp, "_DRAW_BLOCK", budget)
+    p = named_problem(name)
+    params = BaselineParams(2, 300)
+    lanes = np.arange(1, 6)
+    wide = mc_euler_batch(p, params, StreamBundle.root_children(SEED, lanes))
+    for i, j in enumerate(lanes):
+        one = mc_euler_batch(p, params, StreamBundle.root_children(SEED, [j]))
+        want = euler_scalar(p, params, root(SEED).spawn(int(j)))
+        for got in (one[0], wide[i]):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_worker_thread_gives_the_same_bits(name):
-    # Off the main thread a bundle draws larger sub-blocks; at 40 lanes
-    # both threads split a 4096-draw chunk, at different rows.
+    # A pool worker draws on its own scratch; at 40 lanes a 4096-draw chunk
+    # spans several sub-blocks and M = 5000 crosses a chunk boundary.
     p = named_problem(name)
 
     def run():

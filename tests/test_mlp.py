@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from mlpicard import mlp, rng
 from mlpicard.mlp import (
     CostLedger,
     MlpParams,
@@ -122,6 +124,19 @@ def test_batch_rejects_times_outside_horizon_before_drawing(t):
 def test_scalar_rejects_times_beyond_horizon_before_drawing(t):
     with pytest.raises(ValueError, match="time t"):
         mlp_estimate(_refusing_problem(), MlpParams(2, 2, t), root(1), CostLedger())
+
+
+def test_time_range_error_is_short():
+    # The message names how many lanes are out of range and the first one,
+    # not the whole lane array.
+    t = np.linspace(0.0, 1.5, 1000)
+    bundle = StreamBundle.root_children(1, np.arange(1, 1001))
+    with pytest.raises(ValueError, match="time t") as err:
+        mlp_estimate_batch(_refusing_problem(), 2, 2, t, bundle, CostLedger())
+    message = str(err.value)
+    assert len(message) < 160
+    assert f"{np.sum(t > 1.0)} of 1000 lanes" in message
+    assert f"t={t[t > 1.0][0]}" in message
 
 
 def test_rv_exact_is_bigint_safe():
@@ -365,11 +380,11 @@ def test_scalar_entry_matches_oracle(name, n, m):
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 3), (1, 500), (2, 30), (1, 600), (3, 6)])
 def test_one_lane_matches_lane_in_batch(name, n, m):
     # A 1-lane bundle must add its base-term chunk in the same order as a
-    # wide one, whatever numpy does with one column.  At 40 lanes a 512-draw
-    # chunk spans several sub-blocks; (2, 30) and (1, 600) cross a chunk
-    # boundary too.  At 300 lanes the levels of (2, 30) and (3, 6) are wider
-    # than a node block (27 rows, 13 in 2-D), while one lane draws each level
-    # in one block.  Up to one chunk a lane also matches the oracle.
+    # wide one, whatever numpy does with one column.  At 300 lanes a 512-draw
+    # chunk spans several sub-blocks, and the levels of (2, 30) and (3, 6)
+    # are wider than a node block (27 rows, 13 in 2-D), while one lane draws
+    # each level in one block; (2, 30) and (1, 600) cross a chunk boundary
+    # too.  Up to one chunk a lane also matches the oracle.
     p = named_problem(name)
     for nlanes in (40, 300):
         lanes = np.arange(1, nlanes + 1)
@@ -384,9 +399,10 @@ def test_one_lane_matches_lane_in_batch(name, n, m):
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_worker_thread_gives_the_same_bits(name):
-    # Off the main thread a bundle draws larger blocks.  At 200 lanes both
-    # threads split a 512-draw chunk, at different rows; at 300 lanes the
-    # main thread splits a level into node blocks, a worker does not.
+    # Off the main thread a bundle draws larger node blocks: at 300 lanes the
+    # main thread splits the levels of (2, 30) and (3, 6) into node blocks,
+    # a worker does not.  Fresh-draw sub-blocks have one budget on every
+    # thread, so (1, 600) checks the worker's own scratch.
     p = named_problem(name)
     for n, m, nlanes in ((1, 600, 200), (2, 30, 300), (3, 6, 300)):
         lanes = np.arange(1, nlanes + 1)
@@ -401,6 +417,82 @@ def test_worker_thread_gives_the_same_bits(name):
             for i in _sample(nlanes)[::8]:
                 want = estimate_scalar(p, n, m, 0.8, root(SEED).spawn(int(lanes[i])), CostLedger())
                 _assert_same_bits(in_worker[i], want)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+@pytest.mark.parametrize("name", ["linear_meanfield", "planar_rotation"])
+def test_block_budgets_never_change_bits(monkeypatch, name, budget):
+    # Budgets of a few elements split every base-term chunk and every level
+    # into many blocks (at 1 lane and at 5, in 1-D and 2-D), so the carried
+    # chain runs at every block boundary.  Any budget must give the oracle's
+    # bits.
+    for constant in ("_DRAW_BLOCK", "_NODE_BLOCK", "_WORKER_NODE_BLOCK"):
+        monkeypatch.setattr(mlp, constant, budget)
+    p = named_problem(name)
+    lanes = np.arange(1, 6)
+    for n, m in ((1, 500), (3, 4)):
+        wide = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, lanes), CostLedger())
+        for i, j in enumerate(lanes):
+            one = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, [j]), CostLedger())
+            _assert_same_bits(one[0], wide[i])
+            _assert_same_bits(wide[i], estimate_scalar(p, n, m, 0.8, root(SEED).spawn(int(j)), CostLedger()))
+
+
+def test_pure_noise_keeps_its_gaussians_across_nested_draws():
+    # pure_noise's batch sampler returns the Gaussian itself as Z, and a
+    # coupled term holds that Z across the nested recursions, which draw on
+    # the same thread's scratch.
+    p = builtin("pure_noise")
+    lanes = np.arange(1, 301)
+    out = mlp_estimate_batch(p, 3, 3, 1.0, StreamBundle.root_children(SEED, lanes), CostLedger())
+    for i, j in enumerate(lanes):
+        _assert_same_bits(out[i], estimate_scalar(p, 3, 3, 1.0, root(SEED).spawn(int(j)), CostLedger()))
+
+
+def test_threads_drawing_at_once_give_the_same_bits():
+    # Each thread has its own scratch: four pool threads switching every
+    # 10 microseconds must give the bits of one thread drawing alone.
+    jobs = [(name, n, m, SEED + k) for k, (n, m) in enumerate(((1, 600), (2, 30), (3, 6), (4, 3)))
+            for name in ("linear_meanfield", "planar_rotation")]
+
+    def run(job):
+        name, n, m, seed = job
+        return mlp_estimate_batch(
+            named_problem(name), n, m, 0.8, StreamBundle.root_children(seed, np.arange(1, 301)), CostLedger()
+        )
+
+    alone = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            together = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(together, alone):
+        _assert_same_bits(got, want)
+
+
+def test_repeated_draw_sums_reuse_the_scratch():
+    # The heap-churn guard: once a thread has drawn a sum, an identical one
+    # allocates no new scratch buffer, and none outgrows the cap however
+    # large a request.
+    p = builtin("linear_meanfield")
+    bundle = StreamBundle.root_children(SEED, np.arange(1, 1001))
+
+    def draw_sum():
+        return mlp._draw_sum(p, p.xi, bundle.spawn(0), 1000, mlp._BASE_CHUNK, CostLedger())
+
+    first = draw_sum()
+    before = dict(rng._scratch.__dict__)
+    assert {rng._SHIFT, rng._WORDS, rng._LEAF_KEYS, rng._CHAIN} <= before.keys()
+    _assert_same_bits(draw_sum(), first)
+    after = rng._scratch.__dict__
+    assert after.keys() == before.keys()
+    assert all(after[slot] is buf for slot, buf in before.items())
+    root(1).gaussians(10**6)
+    assert all(buf.nbytes <= rng._SCRATCH_MAX_BYTES for buf in after.values())
 
 
 # SHA-256 of the little-endian estimates before MLP levels were drawn in

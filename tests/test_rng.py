@@ -5,6 +5,8 @@ import pytest
 
 import oracle
 from mlpicard import rng
+from mlpicard.mlp import CostLedger, mlp_estimate_batch
+from mlpicard.problems import builtin
 from mlpicard.rng import SplittableStream, StreamBundle, root
 
 # 5-sigma band half-widths for the Monte Carlo checks below; each matches
@@ -226,6 +228,36 @@ def test_bundle_spawn_block_layout():
     for i, k in enumerate((1, 2, 3)):
         for j, lane in enumerate((5, 6)):
             assert u[i, j] == root(3).spawn(lane).spawn(k).next_uniform()
+
+
+def test_returned_arrays_never_share_the_scratch():
+    # Kernel temporaries live in per-thread scratch; every array a public
+    # method returns must be fresh, and stay unchanged by later draws of
+    # every kind on the same thread.
+    bundle = StreamBundle.root_children(7, np.arange(1, 301))
+    stream = root(7).spawn(3)
+
+    def draw_everything():
+        return [
+            bundle.next_gaussian(),
+            bundle.next_uniform(),
+            bundle.spawn(2).keys,
+            bundle.spawn_block(np.arange(1, 9)).keys,
+            bundle.spawn_block(np.arange(1, 9)).next_gaussian(),
+            StreamBundle.root_children(7, np.arange(1, 301)).keys,
+            stream.uniforms(500),
+            stream.gaussians(500),
+        ]
+
+    first = draw_everything()
+    kept = [a.copy() for a in first]
+    draw_everything()
+    mlp_estimate_batch(builtin("linear_meanfield"), 3, 4, 1.0, bundle.spawn(5), CostLedger())
+    scratch = list(rng._scratch.__dict__.values())
+    assert scratch
+    for got, want in zip(first, kept):
+        assert np.array_equal(got, want)
+        assert not any(np.shares_memory(got, buf) for buf in scratch)
 
 
 def test_stream_repr_and_equality():
