@@ -41,10 +41,10 @@ import numpy as np
 
 from . import __version__
 from .baseline import BaselineParams, mc_euler, mc_euler_batch, reference_solve
-from .mlp import CostLedger, _check_int, _check_nm, mlp_estimate_batch, rv_bound, rv_exact
-from .mlp import _estimate as _estimate_scalar  # the per-lane engine; perfbench wraps these names
+from .mlp import CostLedger, _check_nm, mlp_estimate_batch, rv_bound, rv_exact
+from .mlp import _estimate_stream as _estimate_scalar  # the per-lane engine; perfbench wraps these names
 from .problems import ExpectationOdeProblem
-from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, SplittableStream, StreamBundle, _check_seed
+from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, SplittableStream, StreamBundle, _check_int, _check_seed
 
 __all__ = [
     "BoundInputs",
@@ -240,8 +240,8 @@ class RmseReport:
                 "n": r.n,
                 "m": r.m,
                 "R": r.replications,
-                "rmse": None if math.isnan(r.rmse) else r.rmse,
-                "bound": r.bound,
+                "rmse": _finite_or_none(r.rmse),
+                "bound": _finite_or_none(r.bound),
                 "rv_exact": r.rv,
                 "rv_bound": r.rv_bound,
                 "cum_z_draws": r.cum_z_draws,
@@ -262,7 +262,7 @@ class RmseReport:
         }
 
     def json_text(self) -> str:
-        return json.dumps(self.json_doc(), indent=2) + "\n"
+        return json.dumps(self.json_doc(), indent=2, allow_nan=False) + "\n"
 
     def write(self, path: str, fmt: str = "csv") -> None:
         if fmt == "csv":
@@ -271,6 +271,11 @@ class RmseReport:
             _atomic_write_text(path, self.json_text())
         else:
             raise ValueError(f"unknown format {fmt!r}")
+
+
+def _finite_or_none(value: float | None) -> float | None:
+    """``value``, or ``None`` (JSON null) where standard JSON has no number."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 def _atomic_write_text(path: str, text: str) -> None:

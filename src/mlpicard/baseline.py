@@ -13,14 +13,14 @@ Stream layout (frozen): node j (0-based) uses the child stream
 ``stream.spawn(j)``, and its i-th draw comes from ``spawn(j).spawn(i)``,
 i = 1..M.  Fresh draws per node keep node errors independent.
 
-``mc_euler`` (one :class:`~mlpicard.rng.SplittableStream`) and
-``mc_euler_batch`` (one realization per lane of a
-:class:`~mlpicard.rng.StreamBundle`) run the same K-step loop; the node
-average is the estimator's fresh-draw kernel, which a bundle sums in fixed
-chunks of 4096 draws.  Per lane the two agree bit for bit up to M = 4096
-and to rounding beyond.  The kernel draws each chunk in cache-sized
-sub-blocks that never regroup additions, so a node's draw temporaries
-stay bounded whatever M.
+``mc_euler_batch`` runs one realization per lane of a
+:class:`~mlpicard.rng.StreamBundle`, and ``mc_euler`` runs its stream as a
+1-lane bundle through the same K-step loop.  The node average is the
+estimator's fresh-draw kernel: the batch entry sums it in fixed chunks of
+4096 draws, the stream entry one draw at a time, so per lane the two agree
+bit for bit up to M = 4096 and to rounding beyond.  The kernel draws each
+chunk in cache-sized sub-blocks that never regroup additions, so a node's
+draw temporaries stay bounded whatever M.
 
 ``reference_solve`` provides the "truth" for RMSE measurements without
 statistical error: the closed form when the problem has one, otherwise
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import CostLedger, _check_int, _draw_sum, _initial_state
-from .problems import ExpectationOdeProblem
-from .rng import SplittableStream, StreamBundle
+from .mlp import CostLedger, _draw_sum, _initial_state
+from .problems import ExpectationOdeProblem, _as_batch
+from .rng import SplittableStream, StreamBundle, _check_int, _lane_bundle
 
 __all__ = ["BaselineParams", "NoReferenceError", "mc_euler", "mc_euler_batch", "reference_solve"]
 
@@ -70,7 +70,7 @@ def mc_euler(
     Y_0 = xi;  Y_{j+1} = Y_j + (T/K) * mean_i F(Y_j, Z_{j,i});  returns Y_K.
     Records K*M Z draws and drift evaluations in the ledger.
     """
-    return _euler(problem, params, stream, (), ledger)
+    return _euler(_as_batch(problem), params, _lane_bundle(stream), ledger, params.samples)[0]
 
 
 def mc_euler_batch(
@@ -86,17 +86,17 @@ def mc_euler_batch(
     """
     if not problem.has_batch:
         raise ValueError(f"problem {problem.name!r} has no batch hooks")
-    return _euler(problem, params, bundle, bundle.shape, ledger)
+    return _euler(problem, params, bundle, ledger, _DRAW_CHUNK)
 
 
-def _euler(problem, params, stream, lanes, ledger):
-    """The K-step Euler loop for a stream (``lanes == ()``) or a bundle."""
+def _euler(problem, params, bundle, ledger, chunk):
+    """The K-step Euler loop on every lane, node sums in chunks of ``chunk``."""
     K, M = params.steps, params.samples
     h = problem.horizon / K
     ledger = CostLedger() if ledger is None else ledger
-    y = _initial_state(problem, lanes)
+    y = _initial_state(problem, bundle.shape)
     for j in range(K):
-        y = y + (h / M) * _draw_sum(problem, y, stream.spawn(j), M, _DRAW_CHUNK, ledger)
+        y = y + (h / M) * _draw_sum(problem, y, bundle.spawn(j), M, chunk, ledger)
     return y
 
 

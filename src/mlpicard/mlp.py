@@ -29,26 +29,19 @@ call matches it draw for draw.  Summation order is fixed (base term first,
 then levels ascending, k ascending) so floating-point results are
 reproducible.
 
-``mlp_estimate`` runs one realization on a
-:class:`~mlpicard.rng.SplittableStream`; ``mlp_estimate_batch`` runs one per
-lane of a :class:`~mlpicard.rng.StreamBundle`.  Both are served by one
-recursion, and per lane they draw the identical (seed, path, counter)
-values.  Only the fresh-draw sum differs by lane kind: a stream adds one
-draw at a time, a bundle adds fixed chunks of draws (see ``_draw_sum``), so
-for ``m**n`` beyond the chunk size the grouping of additions differs and
-values then agree to rounding rather than bit for bit.
-
-A stream walks a level's coupled nodes one ``k`` at a time.  A bundle
-draws them in node blocks: one ``spawn_block`` call gives every node of a
-block as a new leading lane axis, and the A- and B-recursions run once per
-block on those wider bundles.  Node blocks, and the sub-blocks in which a
-bundle walks a fresh-draw chunk, each have an element budget (see
-``_DRAW_BLOCK``) and share one carried chain (``_chain_sum``): each block's
-terms follow the running sum, so blocking never regroups additions and the
-temporaries stay bounded however large ``m**n``.  The draw kernel's
-temporaries, a sub-block's keys and the carried chain live in the
-per-thread scratch of :mod:`mlpicard.rng`, so repeated draws reuse their
-memory.
+The one engine draws on :class:`~mlpicard.rng.StreamBundle` lanes:
+``mlp_estimate`` runs its stream as a 1-lane bundle that adds fresh draws
+one at a time, ``mlp_estimate_batch`` adds them in chunks of
+``_BASE_CHUNK`` (see ``_draw_sum``).  A level's coupled nodes are drawn in
+node blocks: one ``spawn_block`` call gives every node of a block as a new
+leading lane axis, and the A- and B-recursions run once per block on those
+wider bundles.  Node blocks, and the sub-blocks in which a fresh-draw
+chunk is walked, each have an element budget (see ``_DRAW_BLOCK``) and
+share one carried chain (``_chain_sum``): each block's terms follow the
+running sum, so blocking never regroups additions and the temporaries
+stay bounded however large ``m**n``.  The draw kernel's temporaries, a
+sub-block's keys and the carried chain live in the per-thread scratch of
+:mod:`mlpicard.rng`, so repeated draws reuse their memory.
 """
 
 from __future__ import annotations
@@ -60,8 +53,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .problems import ExpectationOdeProblem
-from .rng import _CHAIN, SplittableStream, StreamBundle, _leaf_block, _scratch_array
+from .problems import ExpectationOdeProblem, _as_batch
+from .rng import _CHAIN, SplittableStream, StreamBundle, _check_int, _lane_bundle, _leaf_block
+from .rng import _scratch_array, _spawn_block
 
 __all__ = [
     "CostLedger",
@@ -115,16 +109,6 @@ class CostLedger:
             self.uniform_draws + other.uniform_draws,
             self.f_evals + other.f_evals,
         )
-
-
-def _check_int(value, name: str, low: int) -> int:
-    """``value`` as a Python int >= ``low``; bools and non-integers are
-    rejected (numpy integers are accepted)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
-    return int(value)
 
 
 def _check_nm(n, m, n_min: int = 0) -> tuple[int, int]:
@@ -184,8 +168,7 @@ def mlp_estimate(
     Pure function of (problem, params, stream state); the ledger is
     accumulated in place.  Returns a fresh vector of shape (dim,).
     """
-    n, m, t = _check_entry(problem, params.n, params.m, params.t, stream)
-    return _estimate(problem, n, m, t, stream, ledger)
+    return _estimate_stream(problem, params.n, params.m, params.t, stream, ledger)
 
 
 def mlp_estimate_batch(
@@ -203,24 +186,26 @@ def mlp_estimate_batch(
     uses exactly the draws that ``mlp_estimate`` would use on a scalar
     stream with the same (seed, path).  Returns shape ``(*lanes, dim)``.
     """
-    n, m, t = _check_entry(problem, n, m, t, bundle)
-    return _estimate(problem, n, m, t, bundle, ledger)
+    n, m, t = _check_entry(problem, n, m, t, bundle.shape)
+    if not problem.has_batch:
+        raise ValueError(f"problem {problem.name!r} has no batch hooks")
+    return _estimate(problem, n, m, t, bundle, ledger, _BASE_CHUNK)
 
 
-def _check_entry(problem, n, m, t, stream):
-    """Validated ``(n, m, t)`` for either entry, before any draw: ``t`` as
-    a float for a stream, as a float64 array of the lane shape for a bundle."""
+def _estimate_stream(problem, n, m, t, stream, ledger):
+    """``mlp_estimate`` as a 1-lane bundle whose fresh-draw sums, none above
+    ``m**n`` draws, each take one chunk: they add one draw at a time."""
+    n, m, t = _check_entry(problem, n, m, t, (1,))
+    return _estimate(_as_batch(problem), n, m, t, _lane_bundle(stream), ledger, m**n)[0]
+
+
+def _check_entry(problem, n, m, t, lanes):
+    """Validated ``(n, m, t)`` for either entry, before any draw, with ``t``
+    as a float64 array of the lane shape."""
     n, m = _check_nm(n, m)
-    if isinstance(stream, StreamBundle):
-        if not problem.has_batch:
-            raise ValueError(f"problem {problem.name!r} has no batch hooks")
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), stream.shape)
-    else:
-        t = float(t)
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), lanes)
     inside = (t >= 0.0) & (t <= problem.horizon)
     if not np.all(inside):
-        if np.ndim(t) == 0:
-            raise ValueError(f"time t must lie in [0, {problem.horizon}], got {t}")
         bad = np.extract(~inside, t)
         raise ValueError(
             f"time t must lie in [0, {problem.horizon}]; {bad.size} of {t.size} "
@@ -229,41 +214,26 @@ def _check_entry(problem, n, m, t, stream):
     return n, m, t
 
 
-def _estimate(problem, n, m, t, stream, ledger):
-    """One level-``n`` realization per lane of ``stream``, shape ``(*lanes, dim)``.
-
-    ``stream`` is a :class:`SplittableStream` with ``t`` a float, or a
-    :class:`StreamBundle` with ``t`` a float64 array of its lane shape.
-    A bundle adds a level's coupled differences in node blocks, carrying
-    the running sum ``0 + d_1 + d_2 + ...`` from block to block.
-    """
-    lanes = getattr(t, "shape", ())  # a float t has no shape: one stream
+def _estimate(problem, n, m, t, bundle, ledger, chunk):
+    """One level-``n`` realization per lane of ``t``, shape ``(*lanes, dim)``,
+    fresh draws summed in chunks of ``chunk``.  A level's coupled differences
+    are added in node blocks, carrying the running sum ``0 + d_1 + d_2 +
+    ...`` from block to block.  ``bundle`` is unused at ``n == 0``."""
+    lanes = t.shape
     if n == 0:
         return _initial_state(problem, lanes)
-    t_col = t[..., None] if lanes else t  # per-lane time against (*lanes, dim)
+    t_col = t[..., None]  # per-lane time against (*lanes, dim)
 
     count = m**n
-    acc = _draw_sum(problem, problem.xi, stream.spawn(0), count, _BASE_CHUNK, ledger)
+    acc = _draw_sum(problem, problem.xi, bundle.spawn(0), count, chunk, ledger)
     out = problem.xi + (t_col / count) * acc
 
     nlanes = math.prod(lanes)
     for l in range(1, n):
-        level = stream.spawn(l)
         width = m ** (n - l)
+        terms = partial(_coupled_terms, problem, l, m, t, bundle.spawn(l), ledger, chunk)
         acc = np.zeros(lanes + (problem.dim,))
-        if isinstance(stream, StreamBundle):
-            terms = partial(_coupled_terms, problem, l, m, t, level, ledger)
-            acc = _chain_sum(terms, 1, width + 1, _block_rows(acc.size, _node_budget()), acc)
-        else:
-            sample_z, drift = problem.sample_z, problem.drift
-            for k in range(1, width + 1):
-                node = level.spawn(k)
-                r = node.next_uniform()
-                z = sample_z(node)
-                s = r * t
-                a = _estimate(problem, l, m, s, node, ledger)
-                b = _estimate(problem, l - 1, m, s, level.spawn(-k), ledger)
-                acc += drift(a, z) - drift(b, z)
+        acc = _chain_sum(terms, 1, width + 1, _block_rows(acc.size, _node_budget()), acc)
         ledger.uniform_draws += width * nlanes
         ledger.z_draws += width * nlanes
         ledger.f_evals += 2 * width * nlanes
@@ -271,64 +241,48 @@ def _estimate(problem, n, m, t, stream, ledger):
     return out
 
 
-def _coupled_terms(problem, l, m, t, level, ledger, ks):
+def _coupled_terms(problem, l, m, t, level, ledger, chunk, ks):
     """``F(A_k, Z_k) - F(B_k, Z_k)`` for a block ``ks`` of node indices of
     the level bundle ``level``, shape ``(len(ks), *lanes, dim)``: one A- and
     one B-recursion for the whole block.  A level-1 B is ``xi`` and draws
     nothing, so its keys are not derived.  ``r`` and ``F(A, Z)`` are taken
     early, so a descent keeps fewer arrays alive."""
-    nodes = level.spawn_block(ks)
+    nodes = _spawn_block(level, ks)
     s = nodes.next_uniform() * t
     z = problem.sample_z_batch(nodes)
-    fa = problem.drift_batch(_estimate(problem, l, m, s, nodes, ledger), z)
-    b_nodes = level.spawn_block(-ks) if l > 1 else None
-    return fa - problem.drift_batch(_estimate(problem, l - 1, m, s, b_nodes, ledger), z)
-
-
-def _hooks(problem, stream):
-    """``(sample_z, drift)`` for the lane kind of ``stream``."""
-    if isinstance(stream, StreamBundle):
-        return problem.sample_z_batch, problem.drift_batch
-    return problem.sample_z, problem.drift
+    fa = problem.drift_batch(_estimate(problem, l, m, s, nodes, ledger, chunk), z)
+    b_nodes = _spawn_block(level, -ks) if l > 1 else None
+    return fa - problem.drift_batch(_estimate(problem, l - 1, m, s, b_nodes, ledger, chunk), z)
 
 
 def _initial_state(problem, lanes):
     """A fresh copy of ``xi`` for every lane, shape ``(*lanes, dim)``."""
-    y = np.empty(lanes + (problem.dim,))
-    y[...] = problem.xi
-    return y
+    return np.broadcast_to(problem.xi, lanes + (problem.dim,)).copy()
 
 
 def _draw_sum(problem, x, stream, count, chunk, ledger):
-    """Sum of F(x, Z_k) over k = 1..count, Z_k drawn on ``stream.spawn(k)``.
+    """Sum of F(x, Z_k) over k = 1..count, Z_k drawn on ``stream.spawn(k)``
+    for every lane of the bundle ``stream``.
 
     The fresh-draw kernel behind both the MLP base term and the Euler node
     average; records ``count`` draws and evaluations per lane in ``ledger``.
-    A stream adds the terms one by one in ascending k.  A bundle sums each
-    run of ``chunk`` indices in ascending k and adds the chunk sums in
-    ascending order.  It walks a chunk with ``_chain_sum`` in sub-blocks of
-    at most ``_DRAW_BLOCK`` lane-dim elements, so the chain of additions,
-    and every rounding, is the same as for one call per chunk.  A
-    sub-block's keys live in scratch, valid for its one ``sample_z`` call.
+    It sums each run of ``chunk`` indices in ascending k (one draw at a time
+    if ``chunk >= count``) and adds the chunk sums in ascending order.  It
+    walks a chunk with ``_chain_sum`` in sub-blocks of at most
+    ``_DRAW_BLOCK`` lane-dim elements, so the chain of additions, and every
+    rounding, is the same as for one call per chunk.  A sub-block's keys
+    live in scratch, valid for its one ``sample_z_batch`` call.
     """
-    sample_z, drift = _hooks(problem, stream)
-    if isinstance(stream, StreamBundle):
-        acc = np.zeros(stream.shape + (problem.dim,))
-        rows = _block_rows(acc.size, _DRAW_BLOCK)
+    acc = np.zeros(stream.shape + (problem.dim,))
+    rows = _block_rows(acc.size, _DRAW_BLOCK)
 
-        def terms(ks):
-            return drift(x, sample_z(_leaf_block(stream, ks)))
+    def terms(ks):
+        return problem.drift_batch(x, problem.sample_z_batch(_leaf_block(stream, ks)))
 
-        for k0 in range(1, count + 1, chunk):
-            acc += _chain_sum(terms, k0, min(k0 + chunk, count + 1), rows)
-        nlanes = stream.keys.size
-    else:
-        acc = np.zeros(problem.dim)
-        for k in range(1, count + 1):
-            acc = acc + drift(x, sample_z(stream.spawn(k)))
-        nlanes = 1
-    ledger.z_draws += count * nlanes
-    ledger.f_evals += count * nlanes
+    for k0 in range(1, count + 1, chunk):
+        acc += _chain_sum(terms, k0, min(k0 + chunk, count + 1), rows)
+    ledger.z_draws += count * stream.keys.size
+    ledger.f_evals += count * stream.keys.size
     return acc
 
 

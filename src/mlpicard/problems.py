@@ -16,33 +16,38 @@ Problems are immutable after construction and safe to share across
 workers: ``sample_z`` and ``drift`` must be pure given their inputs, with
 all randomness flowing through the stream argument.
 
-The optional ``*_batch`` callables are the vectorised counterparts used by
-the fast estimator path.  They must consume draws from their
-:class:`~mlpicard.rng.StreamBundle` in exactly the pattern the scalar
-``sample_z`` uses on a :class:`~mlpicard.rng.SplittableStream`; the batch
-drift receives states shaped (..., dim) and the batch Z payload and must
-broadcast to (..., dim).  A batch hook must not keep the bundle it is
-handed past the call: the estimators hand ``sample_z_batch`` bundles whose
-keys live in per-thread scratch that the next draw on the thread
-overwrites (see :mod:`mlpicard.rng`).  The arrays that bundle's draws
-return are fresh and may be kept.  Problems without batch hooks still work
-everywhere, just slower.
+The engines draw only on :class:`~mlpicard.rng.StreamBundle` lanes, by the
+batch hooks.  ``sample_z_batch`` must consume draws from its bundle in
+exactly the pattern ``sample_z`` uses on a
+:class:`~mlpicard.rng.SplittableStream`; ``drift_batch`` receives states
+shaped (..., dim) and the batch Z payload and must broadcast to (..., dim).
+:func:`register_problem` checks this (see :func:`check_problem`).  A batch
+hook must not keep the bundle it is handed past the call: its keys may
+live in per-thread scratch that the next draw on the thread overwrites
+(see :mod:`mlpicard.rng`).  The arrays its draws return are fresh and may
+be kept.  Without batch hooks, ``mlp_estimate`` and ``mc_euler`` (not the
+``*_batch`` entries) run the scalar hooks lane by lane, ``sample_z`` on a
+stream rebuilt from the lane's key at the bundle's counter (``seed`` and
+``path`` are ``None``).  Only the counter on entry matters, as an MLP node
+draws ``r``, then Z, then only spawns, and a fresh-draw leaf draws only Z:
+``sample_z`` may consume any number of counters, different on each lane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from typing import Any, Callable
 
 import numpy as np
 
-from .rng import SplittableStream, StreamBundle
+from .rng import SplittableStream, StreamBundle, _keyed_stream
 
 __all__ = [
     "BUILTIN_NAMES",
     "ExpectationOdeProblem",
     "UnknownProblemError",
     "builtin",
+    "check_problem",
     "problem_names",
     "register_problem",
 ]
@@ -52,7 +57,7 @@ class UnknownProblemError(KeyError):
     """Raised when a problem name is not in the registry."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExpectationOdeProblem:
     """The tuple (d, xi, T, L, Z-sampler, F) plus optional analytic extras."""
 
@@ -92,10 +97,60 @@ class ExpectationOdeProblem:
 _REGISTRY: dict[str, ExpectationOdeProblem] = {}
 
 
+def _as_batch(problem: ExpectationOdeProblem) -> ExpectationOdeProblem:
+    """``problem``, or if it has no batch hooks a copy whose batch hooks run
+    its scalar hooks lane by lane (Z in an object array).  Never stored."""
+    if problem.has_batch:
+        return problem
+
+    def sample_z_batch(bundle):
+        z = [problem.sample_z(_keyed_stream(key, bundle.counter)) for key in bundle.keys.ravel().tolist()]
+        return np.fromiter(z, object, len(z)).reshape(bundle.shape)
+
+    def drift_batch(x, z):
+        x = np.broadcast_to(x, z.shape + (problem.dim,))
+        f = [problem.drift(xk, zk) for xk, zk in zip(x.reshape(-1, problem.dim), z.ravel())]
+        return np.array(f, dtype=np.float64).reshape(x.shape)
+
+    return dataclasses.replace(problem, sample_z_batch=sample_z_batch, drift_batch=drift_batch)
+
+
+def check_problem(problem: ExpectationOdeProblem) -> None:
+    """Check a problem's batch hooks against its scalar hooks.
+
+    On three lanes, at counter 0 and at counter 1 (an MLP node's Z follows
+    its time draw), ``drift_batch(xi, sample_z_batch(bundle))`` must have
+    shape ``(3, dim)`` and equal, bit for bit, the scalar hooks run lane by
+    lane.  NaN equals NaN: a drift may be non-finite.  Raises
+    ``ValueError`` naming the hook; a problem without batch hooks passes.
+    """
+    if not problem.has_batch:
+        return
+    scalar = _as_batch(dataclasses.replace(problem, sample_z_batch=None, drift_batch=None))
+    keys = StreamBundle.root_children(0, [1, 2, 3]).keys
+    for counter in (0, 1):
+        z = problem.sample_z_batch(StreamBundle(keys, counter))
+        got = np.asarray(problem.drift_batch(problem.xi, z), np.float64)
+        if got.shape != (3, problem.dim):
+            raise ValueError(
+                f"problem {problem.name!r}: drift_batch(xi, sample_z_batch(bundle)) on 3 lanes "
+                f"has shape {got.shape}, not (3, {problem.dim})"
+            )
+        want = scalar.drift_batch(problem.xi, scalar.sample_z_batch(StreamBundle(keys, counter)))
+        nan = np.isnan(got) & np.isnan(want)
+        if not np.all(nan | ((got == want) & (np.signbit(got) == np.signbit(want)))):
+            raise ValueError(
+                f"problem {problem.name!r}: sample_z_batch and drift_batch at counter {counter} "
+                f"give {got.tolist()}, but sample_z and drift give {want.tolist()}"
+            )
+
+
 def register_problem(problem: ExpectationOdeProblem, replace: bool = False) -> None:
-    """Add a problem to the registry (library API; the CLI only sees names)."""
+    """Add a problem to the registry (library API; the CLI only sees names),
+    after :func:`check_problem`."""
     if problem.name in _REGISTRY and not replace:
         raise ValueError(f"problem {problem.name!r} already registered")
+    check_problem(problem)
     _REGISTRY[problem.name] = problem
 
 

@@ -30,8 +30,8 @@ sine partner is discarded; one gaussian always consumes two counters).
 
 :class:`SplittableStream` is the scalar, object-per-stream interface.
 :class:`StreamBundle` advances many streams in lockstep with numpy and
-produces bit-identical values lane by lane; the vectorised estimators are
-built on it.
+produces bit-identical values lane by lane; the estimators are built on
+it alone and run a stream as a 1-lane bundle on the stream's key.
 
 The array kernels keep their temporaries (the ``_mix64_np`` shift buffer,
 the ``_words_np`` word block, the ``_top53`` shift target, the Gaussian's
@@ -226,8 +226,18 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_int(value, name: str, low: int) -> int:
+    """``value`` as a Python int >= ``low``; bools and non-integers are
+    rejected (numpy integers are accepted)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    return int(value)
+
+
 def _check_index(index: int) -> int:
-    if not isinstance(index, (int, np.integer)):
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
         raise TypeError(f"stream index must be an integer, got {type(index).__name__}")
     index = int(index)
     if not -(1 << 63) <= index < (1 << 63):
@@ -235,8 +245,22 @@ def _check_index(index: int) -> int:
     return index
 
 
+def _check_indices(indices) -> np.ndarray:
+    """``indices`` as an int64 array, each checked as by :func:`_check_index`:
+    an integer array dtype, or a sequence of integers (bools are neither)."""
+    if not isinstance(indices, np.ndarray) or indices.dtype == object:
+        flat = np.asarray(indices, dtype=object)
+        return np.array([_check_index(i) for i in flat.ravel()], np.int64).reshape(flat.shape)
+    if indices.dtype.kind not in "iu":
+        raise TypeError(f"stream indices must be integers, got dtype {indices.dtype}")
+    if indices.dtype.kind == "u" and indices.size and indices.max() >= 1 << 63:
+        raise ValueError("stream index must fit in a signed 64-bit integer")
+    return indices.astype(np.int64, copy=False)
+
+
 class SplittableStream:
-    """One deterministic draw sequence, identified by (seed, path).
+    """One deterministic draw sequence, identified by (seed, path).  Streams
+    compare equal when their keys and counters are: they draw alike.
 
     Single-owner while being advanced; spawned children are independent of
     the parent and of each other and may be advanced concurrently.
@@ -293,6 +317,7 @@ class SplittableStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms as a float64 array (counter advances)."""
+        count = _check_int(count, "count", 0)
         words = _words_np(np.uint64(self._key), self.counter, count)
         self.counter += count
         return _uniform_from_words(words)
@@ -300,6 +325,7 @@ class SplittableStream:
     def gaussians(self, count: int) -> np.ndarray:
         """The next ``count`` gaussians (2*count counters), matching
         repeated :meth:`next_gaussian` calls bit for bit."""
+        count = _check_int(count, "count", 0)
         words = _words_np(np.uint64(self._key), self.counter, 2 * count)
         self.counter += 2 * count
         return _gaussian_from_words(words[0::2], words[1::2])
@@ -307,10 +333,10 @@ class SplittableStream:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SplittableStream):
             return NotImplemented
-        return (self.seed, self.path, self.counter) == (other.seed, other.path, other.counter)
+        return (self._key, self.counter) == (other._key, other.counter)
 
     def __hash__(self):
-        return hash((self.seed, self.path, self.counter))
+        return hash((self._key, self.counter))
 
     def __repr__(self) -> str:
         return f"SplittableStream(seed={self.seed}, path={self.path}, counter={self.counter})"
@@ -319,6 +345,18 @@ class SplittableStream:
 def root(seed: int) -> SplittableStream:
     """Convenience alias for :meth:`SplittableStream.root`."""
     return SplittableStream.root(seed)
+
+
+def _keyed_stream(key: int, counter: int) -> SplittableStream:
+    """The stream of ``key`` at ``counter``; its seed and path are ``None``."""
+    stream = object.__new__(SplittableStream)
+    stream.seed, stream.path, stream.counter, stream._key = None, None, counter, key
+    return stream
+
+
+def _lane_bundle(stream: SplittableStream) -> "StreamBundle":
+    """``stream`` as a 1-lane bundle, with the same key and counter."""
+    return StreamBundle(np.array([stream._key], dtype=np.uint64), stream.counter)
 
 
 class StreamBundle:
@@ -340,7 +378,7 @@ class StreamBundle:
     def root_children(cls, seed: int, indices) -> "StreamBundle":
         """Bundle of ``root(seed).spawn(i)`` for each i in ``indices``."""
         rk = np.uint64(_root_key(_check_seed(seed)))
-        return cls(_child_keys_np(rk, indices))
+        return cls(_child_keys_np(rk, _check_indices(indices)))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -352,7 +390,7 @@ class StreamBundle:
 
     def spawn_block(self, indices) -> "StreamBundle":
         """Child bundle over a block of indices: keys shape (len(indices), *shape)."""
-        return _spawn_block(self, np.asarray(indices, dtype=np.int64))
+        return _spawn_block(self, _check_indices(indices))
 
     def next_uniform(self) -> np.ndarray:
         u = _uniform_from_words(_words_np(self.keys, self.counter, 1)[0])

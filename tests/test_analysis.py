@@ -1,5 +1,6 @@
 """Bound evaluators, schedules, the RMSE harness, and the complexity fit."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -384,6 +385,25 @@ def test_node_blocked_csv_bytes_are_pinned(threads):
     assert hashlib.sha256(rep.csv_text().encode()).hexdigest() == NODE_BLOCK_CSV_SHA256
 
 
+# SHA-256 of the CSV bytes of sine_meanfield without batch hooks, as the
+# per-draw stream engine wrote them before problems without batch hooks ran
+# as 1-lane bundles.  Each replication is one call that adds its fresh draws
+# one at a time, beyond one 512-draw MLP chunk and one 4096-draw Euler chunk.
+SCALAR_ONLY_CSV_SHA256 = {
+    ("mlp", (2, 30)): "d88869e4d62149abab14dc3685a99978ca4975aa080b0d3231abfceeaba3a821",
+    ("mc_euler", (2, 5000)): "3a6f5fa297056ed72d02012920a94ff4001b2dbd48c8cbf548bc453a26490d7e",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scheme,point", list(SCALAR_ONLY_CSV_SHA256))
+def test_scalar_only_csv_bytes_are_pinned(scheme, point, threads):
+    sine = builtin("sine_meanfield")
+    bare = dataclasses.replace(sine, name="sine_scalar_only", sample_z_batch=None, drift_batch=None)
+    rep = rmse_experiment(bare, scheme, [point], 3, SEED, threads=threads)
+    assert hashlib.sha256(rep.csv_text().encode()).hexdigest() == SCALAR_ONLY_CSV_SHA256[scheme, point]
+
+
 def test_mc_euler_rows_carry_grid_and_cost():
     rep = rmse_experiment(builtin("linear_meanfield"), "mc_euler", [(5, 4), (10, 8)], 20, SEED)
     assert (rep.rows[0].n, rep.rows[0].m) == (5, 4)
@@ -419,6 +439,20 @@ def test_report_serialization(tmp_path):
 
     with pytest.raises(ValueError):
         rep.write(str(tmp_path / "x"), "xml")
+
+
+def test_json_is_standard_json_when_a_bound_overflows():
+    # error_bound overflows to inf for m beyond about 1420; JSON has no
+    # Infinity token, so the bound is written as null.  CSV keeps "inf".
+    rep = rmse_experiment(builtin("linear_meanfield"), "mlp", [(1, 2000)], 2, 1)
+    assert rep.rows[0].bound == math.inf
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(rep.json_text(), parse_constant=refuse)
+    assert doc["rows"][0]["bound"] is None
+    assert rep.csv_text().splitlines()[1].split(",")[5] == "inf"
 
 
 def test_wall_time_is_measured_but_not_serialized():

@@ -6,16 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from mlpicard.baseline import reference_solve
+from mlpicard.baseline import BaselineParams, mc_euler, reference_solve
+from mlpicard.mlp import CostLedger, MlpParams, mlp_estimate
 from mlpicard.problems import (
     BUILTIN_NAMES,
     ExpectationOdeProblem,
     UnknownProblemError,
     builtin,
+    check_problem,
     problem_names,
     register_problem,
 )
-from mlpicard.rng import root
+from mlpicard.rng import StreamBundle, root
+from oracle import PROBLEM_NAMES, estimate_scalar, euler_scalar, named_problem
 
 
 def test_registry_contents():
@@ -184,3 +187,73 @@ def test_xi_is_immutable():
     p = builtin("pure_noise")
     with pytest.raises(ValueError):
         p.xi[0] = 1.0
+
+
+def _scalar_only(problem, **changes):
+    return dataclasses.replace(problem, sample_z_batch=None, drift_batch=None, **changes)
+
+
+def _rejection_sample_z(stream):
+    # Uniforms until one lies below 1/2, then a Gaussian: the number of
+    # counters consumed differs from lane to lane.
+    while stream.next_uniform() >= 0.5:
+        pass
+    return 1.0 + stream.next_gaussian()
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (2, 30)])
+def test_scalar_sampler_may_consume_any_number_of_counters(n, m):
+    # The engines run scalar hooks lane by lane from the counter on entry;
+    # a sampler's lane-dependent counter use must not reach other draws.
+    # (2, 30) sums 900 base-term draws, beyond one 512-draw chunk.
+    p = _scalar_only(builtin("linear_meanfield"), name="rejection", sample_z=_rejection_sample_z)
+    for j in range(1, 6):
+        ledger, want_ledger = CostLedger(), CostLedger()
+        got = mlp_estimate(p, MlpParams(n, m, 0.8), root(12345).spawn(j), ledger)
+        want = estimate_scalar(p, n, m, 0.8, root(12345).spawn(j), want_ledger)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert ledger == want_ledger
+
+
+@pytest.mark.parametrize("K,M", [(3, 100), (2, 5000)])
+def test_scalar_sampler_counter_rule_holds_for_euler(K, M):
+    p = _scalar_only(builtin("linear_meanfield"), name="rejection", sample_z=_rejection_sample_z)
+    for j in range(1, 4):
+        got = mc_euler(p, BaselineParams(K, M), root(12345).spawn(j))
+        want = euler_scalar(p, BaselineParams(K, M), root(12345).spawn(j))
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_check_problem_accepts_consistent_hooks(name):
+    check_problem(named_problem(name))
+    check_problem(_scalar_only(named_problem(name)))  # no batch hooks: nothing to check
+
+
+def test_check_problem_allows_non_finite_drifts():
+    lin = builtin("linear_meanfield")
+    check_problem(
+        dataclasses.replace(
+            lin,
+            drift=lambda x, z: np.array([math.nan]),
+            drift_batch=lambda x, z: np.full(np.shape(z) + (1,), math.nan),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "changes,hook",
+    [
+        # a sampler that shifts its draws
+        ({"sample_z_batch": lambda bundle: 2.0 + bundle.next_gaussian()}, "sample_z_batch"),
+        # a sampler that ignores the counter on entry: right at counter 0 only
+        ({"sample_z_batch": lambda bundle: 1.0 + StreamBundle(bundle.keys).next_gaussian()}, "counter 1"),
+        # a drift that drops the dim axis
+        ({"drift_batch": lambda x, z: np.asarray(z) - x[0]}, r"drift_batch.*shape \(3,\)"),
+    ],
+)
+def test_register_problem_rejects_inconsistent_batch_hooks(changes, hook):
+    p = dataclasses.replace(builtin("linear_meanfield"), name="inconsistent", **changes)
+    with pytest.raises(ValueError, match=hook):
+        register_problem(p)
+    assert "inconsistent" not in problem_names()

@@ -265,3 +265,51 @@ def test_stream_repr_and_equality():
     assert "path=(2,)" in repr(s)
     assert s == root(4).spawn(2)
     assert s != root(5).spawn(2)
+
+
+@pytest.mark.parametrize(
+    "indices,error",
+    [
+        ([1.7], TypeError),
+        (np.array([1.0]), TypeError),
+        ([True], TypeError),
+        (np.array([True]), TypeError),
+        (["1"], TypeError),
+        ([1 << 63], ValueError),
+        (np.array([1 << 63], dtype=np.uint64), ValueError),
+        ([-(1 << 63) - 1], ValueError),
+    ],
+)
+def test_bundle_indices_are_checked_before_any_key(monkeypatch, indices, error):
+    # [1.7] would give the keys of [1], so two replications could share a
+    # stream; every index is checked as SplittableStream.spawn checks one.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a key was derived before the indices were checked")
+
+    bundle = StreamBundle.root_children(3, [5, 6])
+    monkeypatch.setattr(rng, "_child_keys_np", refuse)
+    with pytest.raises(error):
+        StreamBundle.root_children(3, indices)
+    with pytest.raises(error):
+        bundle.spawn_block(indices)
+
+
+def test_bundle_indices_accept_integer_sequences_and_arrays():
+    big = (1 << 63) - 1
+    want = StreamBundle.root_children(3, np.array([1, -2, big])).keys
+    for indices in ([1, -2, big], (np.int32(1), np.int64(-2), np.uint64(big)), np.array([1, -2, big], dtype=object)):
+        assert np.array_equal(StreamBundle.root_children(3, indices).keys, want)
+    assert np.array_equal(StreamBundle.root_children(3, np.array([1], np.uint8)).keys, want[:1])
+    assert StreamBundle.root_children(3, []).shape == (0,)
+    with pytest.raises(TypeError):
+        root(3).spawn(True)
+
+
+@pytest.mark.parametrize("count,error", [(True, TypeError), (2.5, TypeError), (-1, ValueError)])
+def test_stream_block_counts_are_checked_before_any_word(count, error):
+    s = root(3).spawn(1)
+    for draw in (s.uniforms, s.gaussians):
+        with pytest.raises(error):
+            draw(count)
+        assert s.counter == 0
+    assert s.uniforms(np.int64(0)).shape == (0,)
