@@ -30,20 +30,22 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .baseline import BaselineParams, mc_euler, mc_euler_batch, reference_solve
+from .baseline import BaselineParams, _check_km, mc_euler, mc_euler_batch, reference_solve
 from .mlp import CostLedger, _check_nm, mlp_estimate_batch, rv_bound, rv_exact
 from .mlp import _estimate_stream as _estimate_scalar  # the per-lane engine; perfbench wraps these names
-from .problems import ExpectationOdeProblem
+from .problems import ExpectationOdeProblem, _check_bound_constants
 from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, SplittableStream, StreamBundle, _check_int, _check_seed
 
 __all__ = [
@@ -63,6 +65,39 @@ __all__ = [
 
 CSV_HEADER = "scheme,n,m,R,rmse,bound,rv_exact,rv_bound,wall_ms,seed"
 
+# The argument rules shared by the entries here and the CLI's config fields.
+_check_replications = partial(_check_int, name="replications", low=2)
+_check_mathfrak_n = partial(_check_int, name="mathfrak_n", low=0)
+
+
+def _check_choice(value, name: str, choices: tuple[str, ...]) -> str:
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r} (expected one of {', '.join(choices)})")
+    return value
+
+
+_check_scheme = partial(_check_choice, name="scheme", choices=("mlp", "mc_euler"))
+_check_format = partial(_check_choice, name="format", choices=("csv", "json"))
+
+
+def _check_epsilon(epsilon) -> float:
+    """``epsilon`` as a float in (0, 1]; bools and non-numbers raise ``TypeError``."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise TypeError(f"epsilon must be a real number, got {type(epsilon).__name__}")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    return float(epsilon)
+
+
+def _check_grid(grid, scheme: str) -> list[tuple[int, int]]:
+    """``grid`` as a nonempty list of int pairs, every pair checked by the
+    rule of ``scheme``: Euler ``(K, M)`` for ``mc_euler``, else MLP ``(n, m)``."""
+    check = _check_km if scheme == "mc_euler" else _check_nm
+    grid = [check(a, b) for a, b in grid]
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    return grid
+
 
 class InsufficientDataError(ValueError):
     """Raised when a fit is requested on fewer than three usable rows."""
@@ -77,10 +112,7 @@ class BoundInputs:
     f_xi_second_moment: float
 
     def __post_init__(self):
-        for name in ("horizon", "lipschitz", "f_xi_second_moment"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+        _check_bound_constants(self)
 
     @classmethod
     def from_problem(cls, problem: ExpectationOdeProblem) -> "BoundInputs":
@@ -125,8 +157,7 @@ def tail_bound_max(inputs: BoundInputs, n: int) -> float:
     Exact by monotonicity: the summand decreases once m >= (1+2LT)^2, so
     the supremum is attained on the finite scan [n, ceil((1+2LT)^2) + 1].
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_int(n, "n", 1)
     if inputs.big_c == 0.0:
         return 0.0
     log_a = math.log1p(2.0 * inputs.lipschitz * inputs.horizon)
@@ -164,10 +195,7 @@ def n_epsilon(inputs: BoundInputs, epsilon: float, mathfrak_n: int = 0) -> Sched
     Finite for every epsilon in (0, 1] because the coupled bound decays to
     zero; monotonically nondecreasing as epsilon shrinks.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if mathfrak_n < 0:
-        raise ValueError("mathfrak_n must be nonnegative")
+    epsilon, mathfrak_n = _check_epsilon(epsilon), _check_mathfrak_n(mathfrak_n)
     n = 1
     while True:
         tail = tail_bound_max(inputs, n)
@@ -265,12 +293,8 @@ class RmseReport:
         return json.dumps(self.json_doc(), indent=2, allow_nan=False) + "\n"
 
     def write(self, path: str, fmt: str = "csv") -> None:
-        if fmt == "csv":
-            _atomic_write_text(path, self.csv_text())
-        elif fmt == "json":
-            _atomic_write_text(path, self.json_text())
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        _check_format(fmt)
+        _atomic_write_text(path, self.json_text() if fmt == "json" else self.csv_text())
 
 
 def _finite_or_none(value: float | None) -> float | None:
@@ -335,22 +359,14 @@ def rmse_experiment(
     horizon by default).  A realization containing NaN/inf marks its row
     invalid (rmse = nan) rather than being dropped.
     """
-    if scheme not in ("mlp", "mc_euler"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    replications = _check_int(replications, "replications", 2)
+    grid = _check_grid(grid, _check_scheme(scheme))
+    replications, seed = _check_replications(replications), _check_seed(seed)
     threads = _check_int(threads, "threads", 1)
-    seed = _check_seed(seed)
-    if not grid:
-        raise ValueError("grid must be nonempty")
     t = problem.horizon if eval_time is None else float(eval_time)
     if not 0.0 <= t <= problem.horizon:
         raise ValueError(f"eval_time {t} outside [0, {problem.horizon}]")
     if scheme == "mc_euler" and t != problem.horizon:
         raise ValueError("the Euler baseline only evaluates at the horizon")
-
-    check = _check_nm if scheme == "mlp" else BaselineParams
-    for a, b in grid:  # the whole grid is checked before any row runs
-        check(a, b)
 
     ref = reference_solve(problem, t, step=reference_step)
     inputs = BoundInputs.from_problem(problem)

@@ -55,8 +55,12 @@ class BaselineParams:
     samples: int
 
     def __post_init__(self):
-        _check_int(self.steps, "steps K", 1)
-        _check_int(self.samples, "samples M", 1)
+        _check_km(self.steps, self.samples)
+
+
+def _check_km(steps, samples) -> tuple[int, int]:
+    """The one validation point for Euler steps ``K`` and draws per node ``M``."""
+    return _check_int(steps, "steps K", 1), _check_int(samples, "samples M", 1)
 
 
 def mc_euler(
@@ -109,6 +113,8 @@ def reference_solve(
     4th-order Runge-Kutta with fixed step on ``x' = exact_mean_drift(x)``,
     with one final shortened step to land exactly on ``t``.
     """
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
     if not 0.0 <= t <= problem.horizon:
         raise ValueError(f"t={t} outside [0, {problem.horizon}]")
     if problem.closed_form is not None:
@@ -118,9 +124,6 @@ def reference_solve(
             f"no reference available for problem {problem.name!r}: "
             "neither closed_form nor exact_mean_drift is defined"
         )
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-
     g = problem.exact_mean_drift
     x = problem.xi.copy()
     nfull, rem = divmod(t, step)

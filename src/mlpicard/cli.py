@@ -15,18 +15,25 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from .analysis import (
     BoundInputs,
     RmseReport,
     _atomic_write_text,
+    _check_epsilon,
+    _check_format,
+    _check_grid,
+    _check_mathfrak_n,
+    _check_replications,
+    _check_scheme,
     error_bound,
     n_epsilon,
     rmse_experiment,
 )
 from .baseline import NoReferenceError
 from .problems import UnknownProblemError, builtin, problem_names
+from .rng import _check_seed
 
 SCHEDULE_HEADER = "epsilon,n_epsilon,n_total,total_cost,error_bound"
 
@@ -47,104 +54,45 @@ class ExperimentConfig:
     output_path: str | None = None
     format: str = "csv"
 
-    _KEYS = (
-        "problem",
-        "seed",
-        "scheme",
-        "grid",
-        "replications",
-        "mathfrak_n",
-        "epsilon_list",
-        "output_path",
-        "format",
-    )
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = sorted(set(raw) - set(cls._KEYS))
+        """The config of a JSON object; a null field counts as absent.  The
+        JSON shape is checked here, every value by the library's own rule."""
+        raw = {k: v for k, v in raw.items() if v is not None}
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
         missing = [k for k in ("problem", "seed") if k not in raw]
         if missing:
             raise ConfigError(f"missing required config field(s): {', '.join(missing)}")
+        for name in ("problem", "output_path"):
+            if not isinstance(raw.get(name, ""), str):
+                raise ConfigError(f"field {name!r} must be a string")
+        grid, epsilon_list = raw.get("grid", []), raw.get("epsilon_list", [1.0])
+        if not (isinstance(grid, list) and all(isinstance(p, list) and len(p) == 2 for p in grid)):
+            raise ConfigError("field 'grid' must be a list of [int, int] pairs")
+        if not (isinstance(epsilon_list, list) and epsilon_list):
+            raise ConfigError("field 'epsilon_list' must be a nonempty list")
 
-        problem = raw["problem"]
-        if not isinstance(problem, str):
-            raise ConfigError("field 'problem' must be a string")
-        seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-            raise ConfigError("field 'seed' must be an unsigned 64-bit integer")
-
-        scheme = raw.get("scheme")
-        if scheme is not None and scheme not in ("mlp", "mc_euler"):
-            raise ConfigError("field 'scheme' must be 'mlp' or 'mc_euler'")
-
-        grid = raw.get("grid")
-        if grid is not None:
-            if (
-                not isinstance(grid, list)
-                or not grid
-                or not all(
-                    isinstance(p, list)
-                    and len(p) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in p)
-                    for p in grid
-                )
-            ):
-                raise ConfigError("field 'grid' must be a nonempty list of [int, int] pairs")
-            grid = [(int(a), int(b)) for a, b in grid]
-
-        replications = raw.get("replications")
-        if replications is not None and (
-            not isinstance(replications, int) or isinstance(replications, bool) or replications < 2
-        ):
-            raise ConfigError("field 'replications' must be an integer >= 2")
-
-        mathfrak_n = raw.get("mathfrak_n", 0)
-        if not isinstance(mathfrak_n, int) or isinstance(mathfrak_n, bool) or mathfrak_n < 0:
-            raise ConfigError("field 'mathfrak_n' must be a nonnegative integer")
-
-        epsilon_list = raw.get("epsilon_list")
-        if epsilon_list is not None:
-            if not isinstance(epsilon_list, list) or not epsilon_list:
-                raise ConfigError("field 'epsilon_list' must be a nonempty list")
-            for eps in epsilon_list:
-                if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0 < eps <= 1:
-                    raise ConfigError("field 'epsilon_list' entries must lie in (0, 1]")
-            epsilon_list = [float(e) for e in epsilon_list]
-
-        output_path = raw.get("output_path")
-        if output_path is not None and not isinstance(output_path, str):
-            raise ConfigError("field 'output_path' must be a string")
-
-        fmt = raw.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError("field 'format' must be 'csv' or 'json'")
-
-        return cls(
-            problem=problem,
-            seed=seed,
-            scheme=scheme,
-            grid=grid,
-            replications=replications,
-            mathfrak_n=mathfrak_n,
-            epsilon_list=epsilon_list,
-            output_path=output_path,
-            format=fmt,
-        )
+        checks = {
+            "seed": _check_seed,
+            "scheme": _check_scheme,
+            "grid": lambda grid: _check_grid(grid, raw.get("scheme")),
+            "replications": _check_replications,
+            "mathfrak_n": _check_mathfrak_n,
+            "epsilon_list": lambda eps: [_check_epsilon(e) for e in eps],
+            "format": _check_format,
+        }
+        for name, check in checks.items():
+            if name in raw:
+                try:
+                    raw[name] = check(raw[name])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"field {name!r}: {exc}") from None
+        return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "grid": None if self.grid is None else [list(p) for p in self.grid],
-            "replications": self.replications,
-            "mathfrak_n": self.mathfrak_n,
-            "epsilon_list": self.epsilon_list,
-            "output_path": self.output_path,
-            "format": self.format,
-        }
+        return asdict(self)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -162,7 +110,7 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "rows" in raw and isinstance(raw.get("config"), dict):
-        raw = {k: v for k, v in raw["config"].items() if v is not None}
+        raw = raw["config"]
     return ExperimentConfig.from_dict(raw)
 
 
@@ -287,8 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
             return cmd_run(args.config, threads=args.threads)
         if args.command == "schedule":
             return cmd_schedule(args.config)

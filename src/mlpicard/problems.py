@@ -40,7 +40,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .rng import SplittableStream, StreamBundle, _keyed_stream
+from .rng import SplittableStream, StreamBundle, _check_int, _keyed_stream
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -75,14 +75,8 @@ class ExpectationOdeProblem:
     drift_batch: Callable[[np.ndarray, Any], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
-        if not self.horizon >= 0.0:
-            raise ValueError("horizon must be nonnegative")
-        if not self.lipschitz >= 0.0:
-            raise ValueError("lipschitz must be nonnegative")
-        if not self.f_xi_second_moment >= 0.0:
-            raise ValueError("f_xi_second_moment must be nonnegative")
+        _check_int(self.dim, "dim", 1)
+        _check_bound_constants(self)
         xi = np.asarray(self.xi, dtype=np.float64)
         if xi.shape != (self.dim,):
             raise ValueError(f"xi must have shape ({self.dim},), got {xi.shape}")
@@ -92,6 +86,15 @@ class ExpectationOdeProblem:
     @property
     def has_batch(self) -> bool:
         return self.sample_z_batch is not None and self.drift_batch is not None
+
+
+def _check_bound_constants(obj) -> None:
+    """The rule for the constants every error bound takes: ``obj.horizon``,
+    ``obj.lipschitz`` and ``obj.f_xi_second_moment`` are finite and >= 0."""
+    for name in ("horizon", "lipschitz", "f_xi_second_moment"):
+        value = getattr(obj, name)
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 _REGISTRY: dict[str, ExpectationOdeProblem] = {}

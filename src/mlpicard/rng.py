@@ -217,32 +217,25 @@ def _gaussian_from_words(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return g
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    seed = int(seed)
-    if not 0 <= seed < (1 << 64):
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return seed
-
-
-def _check_int(value, name: str, low: int) -> int:
-    """``value`` as a Python int >= ``low``; bools and non-integers are
-    rejected (numpy integers are accepted)."""
+def _check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int in ``[low, high)`` (``high=None``: no upper
+    bound).  Bools and non-integers raise ``TypeError`` (numpy integers are
+    accepted), an integer outside the range ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
-    return int(value)
+    value = int(value)
+    if value < low or (high is not None and value >= high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value}")
+    return value
+
+
+def _check_seed(seed: int) -> int:
+    return _check_int(seed, "seed", 0, 1 << 64)
 
 
 def _check_index(index: int) -> int:
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise TypeError(f"stream index must be an integer, got {type(index).__name__}")
-    index = int(index)
-    if not -(1 << 63) <= index < (1 << 63):
-        raise ValueError("stream index must fit in a signed 64-bit integer")
-    return index
+    return _check_int(index, "stream index", -(1 << 63), 1 << 63)
 
 
 def _check_indices(indices) -> np.ndarray:
@@ -253,8 +246,8 @@ def _check_indices(indices) -> np.ndarray:
         return np.array([_check_index(i) for i in flat.ravel()], np.int64).reshape(flat.shape)
     if indices.dtype.kind not in "iu":
         raise TypeError(f"stream indices must be integers, got dtype {indices.dtype}")
-    if indices.dtype.kind == "u" and indices.size and indices.max() >= 1 << 63:
-        raise ValueError("stream index must fit in a signed 64-bit integer")
+    if indices.dtype.kind == "u" and indices.size:
+        _check_index(indices.max())
     return indices.astype(np.int64, copy=False)
 
 
@@ -271,7 +264,7 @@ class SplittableStream:
     def __init__(self, seed: int, path: tuple[int, ...] = (), counter: int = 0):
         self.seed = _check_seed(seed)
         self.path = tuple(_check_index(i) for i in path)
-        self.counter = int(counter)
+        self.counter = _check_int(counter, "counter", 0)
         key = _root_key(self.seed)
         for element in self.path:
             key = _child_key(key, element)
@@ -372,7 +365,7 @@ class StreamBundle:
 
     def __init__(self, keys: np.ndarray, counter: int = 0):
         self.keys = np.asarray(keys, dtype=np.uint64)
-        self.counter = int(counter)
+        self.counter = _check_int(counter, "counter", 0)
 
     @classmethod
     def root_children(cls, seed: int, indices) -> "StreamBundle":

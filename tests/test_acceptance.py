@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from mlpicard.analysis import (
     BoundInputs,
@@ -89,6 +90,7 @@ def test_criterion_3_bound_dominance():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_complexity_slopes():
     # Cost exponents from the fitted power law cost ~ (1/rmse)^slope.
     t0 = time.perf_counter()

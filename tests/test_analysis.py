@@ -71,6 +71,11 @@ def test_error_bound_validation():
         error_bound(UNIT, -1, 1)
     with pytest.raises(ValueError):
         error_bound(UNIT, 1, 0)
+    with pytest.raises(ValueError):
+        tail_bound_max(UNIT, 0)
+    for n in (True, 1.5, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            tail_bound_max(UNIT, n)
 
 
 def test_tail_bound_is_exact_supremum():
@@ -134,6 +139,15 @@ def test_n_epsilon_validation():
         n_epsilon(UNIT, 1.5)
     with pytest.raises(ValueError):
         n_epsilon(UNIT, 0.5, mathfrak_n=-1)
+    for epsilon in (True, "0.5", None):
+        with pytest.raises(TypeError):
+            n_epsilon(UNIT, epsilon)
+    for mathfrak_n in (True, 1.5):
+        with pytest.raises(TypeError):
+            n_epsilon(UNIT, 0.5, mathfrak_n)
+    with pytest.raises(ValueError):
+        n_epsilon(UNIT, math.nan)
+    assert n_epsilon(UNIT, 1).epsilon == n_epsilon(UNIT, np.float64(1.0)).epsilon == 1.0
 
 
 def test_fit_power_law_exact():
@@ -343,14 +357,18 @@ def test_rmse_experiment_checks_the_whole_grid_first(scheme, grid):
         ({"seed": 1.5}, TypeError),
         ({"seed": -1}, ValueError),
         ({"seed": 2**64}, ValueError),
+        ({"seed": True}, TypeError),
+        ({"reference_step": math.nan}, ValueError),
+        ({"reference_step": math.inf}, ValueError),
     ],
 )
 @pytest.mark.parametrize("scheme", ["mlp", "mc_euler"])
 def test_rmse_experiment_checks_its_arguments_before_computing(scheme, bad, error):
-    args = {"replications": 2, "seed": SEED, "threads": 1} | bad
+    args = {"replications": 2, "seed": SEED, "threads": 1, "reference_step": 1e-4} | bad
     with pytest.raises(error):
         rmse_experiment(
-            _refusing_problem(), scheme, [(2, 2)], args["replications"], args["seed"], threads=args["threads"]
+            _refusing_problem(), scheme, [(2, 2)], args["replications"], args["seed"], threads=args["threads"],
+            reference_step=args["reference_step"],
         )
 
 

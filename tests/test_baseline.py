@@ -242,6 +242,11 @@ def test_reference_time_validation():
         reference_solve(p, -0.1)
     with pytest.raises(ValueError):
         reference_solve(p, 1.1)
+    # the step is checked first, on the closed-form path and the RK4 path
+    for name in ("linear_meanfield", "sine_meanfield"):
+        for step in (math.nan, math.inf, 0.0, -1e-4):
+            with pytest.raises(ValueError, match="step"):
+                reference_solve(builtin(name), 1.0, step)
 
 
 def test_a_priori_bound_on_reference_trajectories():

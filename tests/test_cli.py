@@ -107,6 +107,35 @@ def test_invalid_grid_exits_2(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,field,value",
+    [
+        ("run", "seed", True),
+        ("run", "seed", 2**64),
+        ("run", "replications", 1),
+        ("run", "replications", 2.5),
+        ("run", "scheme", "euler"),
+        ("run", "format", "xml"),
+        ("run", "grid", [[1, True]]),
+        ("run", "grid", [[1]]),
+        ("run", "problem", 3),
+        ("schedule", "mathfrak_n", True),
+        ("schedule", "mathfrak_n", 1.5),
+        ("schedule", "mathfrak_n", -1),
+        ("schedule", "epsilon_list", [True]),
+        ("schedule", "epsilon_list", [0.5, 0.0]),
+        ("schedule", "epsilon_list", []),
+    ],
+)
+def test_bad_field_value_exits_2_naming_the_field_before_computing(tmp_path, capsys, command, field, value):
+    # The config takes each value by the rule of the library entry it feeds.
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, **{"epsilon_list": [0.5], field: value})
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_missing_seed_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     raw = _write_config(cfg)

@@ -156,6 +156,13 @@ def test_validation_errors():
         ExpectationOdeProblem(**{**ok, "xi": np.zeros(3)})
     with pytest.raises(ValueError):
         ExpectationOdeProblem(**{**ok, "f_xi_second_moment": -1.0})
+    # dim follows the integer rule, the bound constants the rule of BoundInputs
+    for dim in (1.0, True):
+        with pytest.raises(TypeError):
+            ExpectationOdeProblem(**{**ok, "dim": dim})
+    for name, value in [("lipschitz", math.inf), ("horizon", math.nan), ("f_xi_second_moment", math.inf)]:
+        with pytest.raises(ValueError, match=name):
+            ExpectationOdeProblem(**{**ok, name: value})
 
 
 def test_register_problem_guards():

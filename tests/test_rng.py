@@ -42,6 +42,8 @@ def test_seed_validation():
         root(1 << 64)
     with pytest.raises(TypeError):
         root(1.5)
+    with pytest.raises(TypeError):
+        root(True)
 
 
 def test_distinct_seeds_give_uncorrelated_streams():
@@ -303,6 +305,18 @@ def test_bundle_indices_accept_integer_sequences_and_arrays():
     assert StreamBundle.root_children(3, []).shape == (0,)
     with pytest.raises(TypeError):
         root(3).spawn(True)
+
+
+@pytest.mark.parametrize("counter,error", [(-3, ValueError), (True, TypeError), (1.5, TypeError)])
+def test_stream_and_bundle_counters_are_checked(counter, error):
+    # At counter -3, next_uniform() wrapped to counter 2**64 - 3 while the
+    # block draws raised OverflowError.
+    keys = StreamBundle.root_children(3, [1, 2]).keys
+    with pytest.raises(error, match="counter"):
+        SplittableStream(3, (1,), counter)
+    with pytest.raises(error, match="counter"):
+        StreamBundle(keys, counter)
+    assert SplittableStream(3, (1,), np.int64(2)).next_uniform() == StreamBundle(keys, 2).next_uniform()[0]
 
 
 @pytest.mark.parametrize("count,error", [(True, TypeError), (2.5, TypeError), (-1, ValueError)])
