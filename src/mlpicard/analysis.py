@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import tempfile
 import time
@@ -42,11 +41,11 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .baseline import BaselineParams, _check_km, mc_euler, mc_euler_batch, reference_solve
+from .baseline import BaselineParams, _check_km, _euler_stream, mc_euler_batch, reference_solve
 from .mlp import CostLedger, _check_nm, mlp_estimate_batch, rv_bound, rv_exact
-from .mlp import _estimate_stream as _estimate_scalar  # the per-lane engine; perfbench wraps these names
+from .mlp import _estimate_stream as _estimate_scalar  # the lane-wise engine; perfbench wraps these names
 from .problems import ExpectationOdeProblem, _check_bound_constants
-from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, SplittableStream, StreamBundle, _check_int, _check_seed
+from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, StreamBundle, _check_int, _check_real, _check_seed
 
 __all__ = [
     "BoundInputs",
@@ -80,13 +79,7 @@ _check_scheme = partial(_check_choice, name="scheme", choices=("mlp", "mc_euler"
 _check_format = partial(_check_choice, name="format", choices=("csv", "json"))
 
 
-def _check_epsilon(epsilon) -> float:
-    """``epsilon`` as a float in (0, 1]; bools and non-numbers raise ``TypeError``."""
-    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
-        raise TypeError(f"epsilon must be a real number, got {type(epsilon).__name__}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    return float(epsilon)
+_check_epsilon = partial(_check_real, name="epsilon", low=0.0, high=1.0, open_low=True)
 
 
 def _check_grid(grid, scheme: str) -> list[tuple[int, int]]:
@@ -316,28 +309,13 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _lane_chunks(replications: int, threads: int) -> list[range]:
-    """Contiguous chunks of the lane indices 1..R (chunking never affects
-    per-lane values, only scheduling)."""
-    threads = min(threads, replications)
-    bounds = np.linspace(1, replications + 1, threads + 1).astype(int)
-    return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
 def _run_lanes(problem, engines, args, seed, lanes):
     """Realizations on ``root(seed).spawn(j)`` for j in ``lanes``, and their
-    ledger: one call of the batch engine when the problem has batch hooks,
-    otherwise one call of the scalar engine per lane."""
-    batch, scalar = engines
+    ledger, from one engine call on the bundle of those lanes: the batch
+    engine when the problem has batch hooks, else the lane-wise one."""
+    engine = engines[0] if problem.has_batch else engines[1]
     ledger = CostLedger()
-    if problem.has_batch:
-        bundle = StreamBundle.root_children(seed, np.arange(lanes.start, lanes.stop))
-        return batch(problem, *args, bundle, ledger), ledger
-    root = SplittableStream.root(seed)
-    out = np.empty((len(lanes), problem.dim))
-    for i, j in enumerate(lanes):
-        out[i] = scalar(problem, *args, root.spawn(j), ledger)
-    return out, ledger
+    return engine(problem, *args, StreamBundle.root_children(seed, lanes), ledger), ledger
 
 
 def rmse_experiment(
@@ -362,15 +340,14 @@ def rmse_experiment(
     grid = _check_grid(grid, _check_scheme(scheme))
     replications, seed = _check_replications(replications), _check_seed(seed)
     threads = _check_int(threads, "threads", 1)
-    t = problem.horizon if eval_time is None else float(eval_time)
-    if not 0.0 <= t <= problem.horizon:
-        raise ValueError(f"eval_time {t} outside [0, {problem.horizon}]")
+    t = problem.horizon if eval_time is None else _check_real(eval_time, "eval_time", 0.0, problem.horizon)
     if scheme == "mc_euler" and t != problem.horizon:
         raise ValueError("the Euler baseline only evaluates at the horizon")
 
     ref = reference_solve(problem, t, step=reference_step)
     inputs = BoundInputs.from_problem(problem)
-    chunks = _lane_chunks(replications, threads)
+    # Contiguous chunks of the lanes 1..R; chunking never moves a lane's bits.
+    chunks = np.array_split(np.arange(1, replications + 1), min(threads, replications))
     report = RmseReport(problem.name, scheme, seed, t)
 
     cum = 0
@@ -382,7 +359,7 @@ def rmse_experiment(
             bound = error_bound(inputs, a, b)
             bound_rv = rv_bound(a, b) if a >= 1 else None
         else:
-            engines, args = (mc_euler_batch, mc_euler), (BaselineParams(a, b),)
+            engines, args = (mc_euler_batch, _euler_stream), (BaselineParams(a, b),)
             per_real = a * b
             bound = None
             bound_rv = None

@@ -14,10 +14,11 @@ Stream layout (frozen): node j (0-based) uses the child stream
 i = 1..M.  Fresh draws per node keep node errors independent.
 
 ``mc_euler_batch`` runs one realization per lane of a
-:class:`~mlpicard.rng.StreamBundle`, and ``mc_euler`` runs its stream as a
-1-lane bundle through the same K-step loop.  The node average is the
-estimator's fresh-draw kernel: the batch entry sums it in fixed chunks of
-4096 draws, the stream entry one draw at a time, so per lane the two agree
+:class:`~mlpicard.rng.StreamBundle`, and so does ``_euler_stream`` for any
+problem; ``mc_euler`` runs its stream through the latter as a 1-lane
+bundle.  All use one K-step loop.  The node average is the estimator's
+fresh-draw kernel: the batch entry sums it in fixed chunks of 4096 draws,
+the lane-wise one one draw at a time, so per lane the two agree
 bit for bit up to M = 4096 and to rounding beyond.  The kernel draws each
 chunk in cache-sized sub-blocks that never regroup additions, so a node's
 draw temporaries stay bounded whatever M.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .mlp import CostLedger, _draw_sum, _initial_state
 from .problems import ExpectationOdeProblem, _as_batch
-from .rng import SplittableStream, StreamBundle, _check_int, _lane_bundle
+from .rng import SplittableStream, StreamBundle, _check_int, _check_real, _lane_bundle
 
 __all__ = ["BaselineParams", "NoReferenceError", "mc_euler", "mc_euler_batch", "reference_solve"]
 
@@ -74,7 +75,7 @@ def mc_euler(
     Y_0 = xi;  Y_{j+1} = Y_j + (T/K) * mean_i F(Y_j, Z_{j,i});  returns Y_K.
     Records K*M Z draws and drift evaluations in the ledger.
     """
-    return _euler(_as_batch(problem), params, _lane_bundle(stream), ledger, params.samples)[0]
+    return _euler_stream(problem, params, _lane_bundle(stream), ledger)[0]
 
 
 def mc_euler_batch(
@@ -91,6 +92,12 @@ def mc_euler_batch(
     if not problem.has_batch:
         raise ValueError(f"problem {problem.name!r} has no batch hooks")
     return _euler(problem, params, bundle, ledger, _DRAW_CHUNK)
+
+
+def _euler_stream(problem, params, bundle, ledger=None):
+    """``mc_euler`` on every lane of ``bundle``, for any problem: each node
+    sum takes one chunk of ``M`` draws, which adds one draw at a time."""
+    return _euler(_as_batch(problem), params, bundle, ledger, params.samples)
 
 
 def _euler(problem, params, bundle, ledger, chunk):
@@ -113,10 +120,8 @@ def reference_solve(
     4th-order Runge-Kutta with fixed step on ``x' = exact_mean_drift(x)``,
     with one final shortened step to land exactly on ``t``.
     """
-    if not 0.0 < step < np.inf:
-        raise ValueError(f"step must be finite and positive, got {step}")
-    if not 0.0 <= t <= problem.horizon:
-        raise ValueError(f"t={t} outside [0, {problem.horizon}]")
+    step = _check_real(step, "step", 0.0, open_low=True)
+    t = _check_real(t, "t", 0.0, problem.horizon)
     if problem.closed_form is not None:
         return np.asarray(problem.closed_form(t), dtype=np.float64).copy()
     if problem.exact_mean_drift is None:

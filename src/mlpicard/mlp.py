@@ -29,10 +29,11 @@ call matches it draw for draw.  Summation order is fixed (base term first,
 then levels ascending, k ascending) so floating-point results are
 reproducible.
 
-The one engine draws on :class:`~mlpicard.rng.StreamBundle` lanes:
-``mlp_estimate`` runs its stream as a 1-lane bundle that adds fresh draws
-one at a time, ``mlp_estimate_batch`` adds them in chunks of
-``_BASE_CHUNK`` (see ``_draw_sum``).  A level's coupled nodes are drawn in
+The one engine draws on :class:`~mlpicard.rng.StreamBundle` lanes.  The
+lane-wise entry ``_estimate_stream`` serves any problem and adds fresh
+draws one at a time on every lane; ``mlp_estimate`` runs its stream
+through it as a 1-lane bundle.  ``mlp_estimate_batch`` adds them in chunks
+of ``_BASE_CHUNK`` (see ``_draw_sum``).  A level's coupled nodes are drawn in
 node blocks: one ``spawn_block`` call gives every node of a block as a new
 leading lane axis, and the A- and B-recursions run once per block on those
 wider bundles.  Node blocks, and the sub-blocks in which a fresh-draw
@@ -54,7 +55,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .problems import ExpectationOdeProblem, _as_batch
-from .rng import _CHAIN, SplittableStream, StreamBundle, _check_int, _lane_bundle, _leaf_block
+from .rng import _CHAIN, SplittableStream, StreamBundle, _check_int, _check_real, _lane_bundle, _leaf_block
 from .rng import _scratch_array, _spawn_block
 
 __all__ = [
@@ -126,8 +127,7 @@ class MlpParams:
 
     def __post_init__(self):
         _check_nm(self.n, self.m)
-        if not self.t >= 0.0:
-            raise ValueError("time t must be nonnegative")
+        _check_real(self.t, "time t", 0.0)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -168,7 +168,7 @@ def mlp_estimate(
     Pure function of (problem, params, stream state); the ledger is
     accumulated in place.  Returns a fresh vector of shape (dim,).
     """
-    return _estimate_stream(problem, params.n, params.m, params.t, stream, ledger)
+    return _estimate_stream(problem, params.n, params.m, params.t, _lane_bundle(stream), ledger)[0]
 
 
 def mlp_estimate_batch(
@@ -192,18 +192,25 @@ def mlp_estimate_batch(
     return _estimate(problem, n, m, t, bundle, ledger, _BASE_CHUNK)
 
 
-def _estimate_stream(problem, n, m, t, stream, ledger):
-    """``mlp_estimate`` as a 1-lane bundle whose fresh-draw sums, none above
-    ``m**n`` draws, each take one chunk: they add one draw at a time."""
-    n, m, t = _check_entry(problem, n, m, t, (1,))
-    return _estimate(_as_batch(problem), n, m, t, _lane_bundle(stream), ledger, m**n)[0]
+def _estimate_stream(problem, n, m, t, bundle, ledger):
+    """``mlp_estimate`` on every lane of ``bundle``, for any problem: each
+    fresh-draw sum, none above ``m**n`` draws, takes one chunk, so every
+    lane adds one draw at a time, as its stream would."""
+    n, m, t = _check_entry(problem, n, m, t, bundle.shape)
+    return _estimate(_as_batch(problem), n, m, t, bundle, ledger, m**n)
 
 
 def _check_entry(problem, n, m, t, lanes):
     """Validated ``(n, m, t)`` for either entry, before any draw, with ``t``
-    as a float64 array of the lane shape."""
+    as a float64 array of the lane shape.  A scalar ``t`` takes the rule of
+    :func:`~mlpicard.rng._check_real`; an array must hold integers or floats."""
     n, m = _check_nm(n, m)
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), lanes)
+    if np.ndim(t) == 0:
+        t = _check_real(t, "time t", 0.0, problem.horizon)
+    t = np.asarray(t)
+    if t.dtype.kind not in "iuf":
+        raise TypeError(f"time t must hold real numbers, got dtype {t.dtype}")
+    t = np.broadcast_to(t.astype(np.float64, copy=False), lanes)
     inside = (t >= 0.0) & (t <= problem.horizon)
     if not np.all(inside):
         bad = np.extract(~inside, t)

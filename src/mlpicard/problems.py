@@ -25,12 +25,14 @@ shaped (..., dim) and the batch Z payload and must broadcast to (..., dim).
 hook must not keep the bundle it is handed past the call: its keys may
 live in per-thread scratch that the next draw on the thread overwrites
 (see :mod:`mlpicard.rng`).  The arrays its draws return are fresh and may
-be kept.  Without batch hooks, ``mlp_estimate`` and ``mc_euler`` (not the
-``*_batch`` entries) run the scalar hooks lane by lane, ``sample_z`` on a
-stream rebuilt from the lane's key at the bundle's counter (``seed`` and
-``path`` are ``None``).  Only the counter on entry matters, as an MLP node
-draws ``r``, then Z, then only spawns, and a fresh-draw leaf draws only Z:
-``sample_z`` may consume any number of counters, different on each lane.
+be kept.  Without batch hooks, ``mlp_estimate``, ``mc_euler`` and the
+experiment harness (not the ``*_batch`` entries) still make one engine call
+per bundle, one bundle per lane chunk, and run the scalar hooks lane by
+lane, ``sample_z`` on a stream rebuilt from the lane's key at the bundle's
+counter (``seed`` and ``path`` are ``None``).  Only the counter on entry
+matters, as an MLP node draws ``r``, then Z, then only spawns, and a
+fresh-draw leaf draws only Z: ``sample_z`` may consume any number of
+counters, different on each lane.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .rng import SplittableStream, StreamBundle, _check_int, _keyed_stream
+from .rng import SplittableStream, StreamBundle, _check_int, _check_real, _keyed_stream
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -90,11 +92,9 @@ class ExpectationOdeProblem:
 
 def _check_bound_constants(obj) -> None:
     """The rule for the constants every error bound takes: ``obj.horizon``,
-    ``obj.lipschitz`` and ``obj.f_xi_second_moment`` are finite and >= 0."""
+    ``obj.lipschitz`` and ``obj.f_xi_second_moment`` are finite reals >= 0."""
     for name in ("horizon", "lipschitz", "f_xi_second_moment"):
-        value = getattr(obj, name)
-        if not 0.0 <= value < np.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        _check_real(getattr(obj, name), name, 0.0)
 
 
 _REGISTRY: dict[str, ExpectationOdeProblem] = {}

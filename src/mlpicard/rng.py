@@ -27,6 +27,9 @@ pins the whole experiment output::
 
 with u1 in (0, 1] and u2 in [0, 1) built from two consecutive words (the
 sine partner is discarded; one gaussian always consumes two counters).
+A counter lies in [0, 2^64), and a draw that would take the counter past
+2^64 - 1 raises ``ValueError`` before it makes a word, so counters never
+wrap onto the words of counter 0.
 
 :class:`SplittableStream` is the scalar, object-per-stream interface.
 :class:`StreamBundle` advances many streams in lockstep with numpy and
@@ -49,6 +52,7 @@ returns is fresh.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 
 import numpy as np
@@ -172,8 +176,10 @@ def _leaf_block(bundle: "StreamBundle", indices: np.ndarray) -> "StreamBundle":
 def _words_np(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
     """The words at counters ``counter .. counter+count-1`` of every key,
     one ``_mix64_np`` call, shape ``(count, *keys.shape)``, in this
-    thread's scratch."""
-    steps = np.arange(counter + 1, counter + count + 1, dtype=np.uint64) * _U64_GOLDEN
+    thread's scratch.  Checks the counters first (:func:`_check_draw`)."""
+    _check_draw(counter, count)
+    steps = np.arange(count, dtype=np.uint64) + np.uint64((counter + 1) & _MASK)
+    steps *= _U64_GOLDEN
     words = _scratch_array(_WORDS, (count,) + keys.shape)
     np.bitwise_xor(keys, _U64_DRAW, out=words)
     words += steps.reshape((count,) + (1,) * keys.ndim)
@@ -230,6 +236,32 @@ def _check_int(value, name: str, low: int, high: int | None = None) -> int:
     return value
 
 
+def _check_real(value, name: str, low: float, high: float = math.inf, *, open_low: bool = False) -> float:
+    """``value`` as a finite float in ``[low, high]``, or ``(low, high]`` when
+    ``open_low``.  Bools and non-reals raise ``TypeError`` (numpy floats and
+    integers are accepted), a value outside the range or not finite
+    ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    value = float(value)
+    if not (math.isfinite(value) and (value > low if open_low else value >= low) and value <= high):
+        bounds = f"{'(' if open_low else '['}{low}, {high}]"
+        raise ValueError(f"{name} must be a finite real number in {bounds}, got {value}")
+    return value
+
+
+def _check_counter(counter: int) -> int:
+    return _check_int(counter, "counter", 0, 1 << 64)
+
+
+def _check_draw(counter: int, count: int) -> None:
+    """Raise ``ValueError`` unless ``count`` draws from ``counter`` leave a
+    valid counter (``counter + count <= 2**64 - 1``): past that, counters
+    would wrap and repeat the words of counter 0 onwards."""
+    if counter + count > _MASK:
+        raise ValueError(f"{count} draws at counter {counter} would pass {_MASK - 1}, the last counter to draw")
+
+
 def _check_seed(seed: int) -> int:
     return _check_int(seed, "seed", 0, 1 << 64)
 
@@ -264,7 +296,7 @@ class SplittableStream:
     def __init__(self, seed: int, path: tuple[int, ...] = (), counter: int = 0):
         self.seed = _check_seed(seed)
         self.path = tuple(_check_index(i) for i in path)
-        self.counter = _check_int(counter, "counter", 0)
+        self.counter = _check_counter(counter)
         key = _root_key(self.seed)
         for element in self.path:
             key = _child_key(key, element)
@@ -291,6 +323,7 @@ class SplittableStream:
 
     def next_uniform(self) -> float:
         """Next uniform draw in [0, 1); advances the counter by one."""
+        _check_draw(self.counter, 1)
         w = _word(self._key, self.counter)
         self.counter += 1
         return (w >> 11) * _INV_2_53
@@ -301,6 +334,7 @@ class SplittableStream:
         Uses numpy's scalar log/cos so the value is bit-identical to the
         vectorised path in :class:`StreamBundle`.
         """
+        _check_draw(self.counter, 2)
         w1 = _word(self._key, self.counter)
         w2 = _word(self._key, self.counter + 1)
         self.counter += 2
@@ -365,7 +399,7 @@ class StreamBundle:
 
     def __init__(self, keys: np.ndarray, counter: int = 0):
         self.keys = np.asarray(keys, dtype=np.uint64)
-        self.counter = _check_int(counter, "counter", 0)
+        self.counter = _check_counter(counter)
 
     @classmethod
     def root_children(cls, seed: int, indices) -> "StreamBundle":

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from mlpicard import analysis
 from mlpicard.analysis import (
     BoundInputs,
     CSV_HEADER,
@@ -38,6 +39,15 @@ def test_bound_inputs_from_problem():
         BoundInputs(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         BoundInputs(1.0, math.inf, 1.0)
+
+
+@pytest.mark.parametrize("name", ["horizon", "lipschitz", "f_xi_second_moment"])
+def test_bound_constants_must_be_real_numbers(name):
+    constants = {"horizon": 1.0, "lipschitz": 0.0, "f_xi_second_moment": 1.0, name: True}
+    with pytest.raises(TypeError, match=name):
+        BoundInputs(**constants)
+    with pytest.raises(TypeError, match=name):
+        dataclasses.replace(builtin("pure_noise"), **{name: True})
 
 
 def test_error_bound_values():
@@ -231,6 +241,13 @@ def test_rmse_experiment_honors_eval_time():
         )
 
 
+@pytest.mark.parametrize("eval_time", [True, "0.5"])
+def test_eval_time_must_be_a_real_number(eval_time):
+    # eval_time=True used to run at t = 1.0.
+    with pytest.raises(TypeError, match="eval_time"):
+        rmse_experiment(builtin("const_drift"), "mlp", [(1, 1)], 2, SEED, eval_time=eval_time)
+
+
 def test_rmse_experiment_const_drift_is_exact():
     rep = rmse_experiment(builtin("const_drift"), "mlp", [(1, 1), (2, 2)], 2, SEED)
     for row in rep.rows:
@@ -420,6 +437,22 @@ def test_scalar_only_csv_bytes_are_pinned(scheme, point, threads):
     bare = dataclasses.replace(sine, name="sine_scalar_only", sample_z_batch=None, drift_batch=None)
     rep = rmse_experiment(bare, scheme, [point], 3, SEED, threads=threads)
     assert hashlib.sha256(rep.csv_text().encode()).hexdigest() == SCALAR_ONLY_CSV_SHA256[scheme, point]
+
+
+@pytest.mark.parametrize("threads,widths", [(1, [7]), (2, [3, 4])])
+@pytest.mark.parametrize("scheme,engine", [("mlp", "_estimate_scalar"), ("mc_euler", "_euler_stream")])
+def test_problems_without_batch_hooks_run_one_engine_call_per_lane_chunk(monkeypatch, scheme, engine, threads, widths):
+    calls = []
+    lane_wise = getattr(analysis, engine)
+
+    def counted(*args):
+        calls.append(args[-2].shape[0])  # the bundle of the lane chunk
+        return lane_wise(*args)
+
+    monkeypatch.setattr(analysis, engine, counted)
+    bare = dataclasses.replace(builtin("sine_meanfield"), name="sine_scalar_only", sample_z_batch=None, drift_batch=None)
+    rmse_experiment(bare, scheme, [(2, 3)], 7, SEED, threads=threads)
+    assert sorted(calls) == widths
 
 
 def test_mc_euler_rows_carry_grid_and_cost():

@@ -249,6 +249,13 @@ def test_reference_time_validation():
                 reference_solve(builtin(name), 1.0, step)
 
 
+@pytest.mark.parametrize("args", [(True,), ("1.0",), (1.0, True), (1.0, "1e-4")])
+def test_reference_time_and_step_must_be_real_numbers(args):
+    # A bool step used to run RK4 with step 1.0.
+    with pytest.raises(TypeError, match="step|t must"):
+        reference_solve(builtin("sine_meanfield"), *args)
+
+
 def test_a_priori_bound_on_reference_trajectories():
     for name in ("pure_noise", "const_drift", "linear_meanfield", "sine_meanfield"):
         p = builtin(name)

@@ -139,6 +139,16 @@ def test_time_range_error_is_short():
     assert f"t={t[t > 1.0][0]}" in message
 
 
+@pytest.mark.parametrize("t", [True, np.bool_(True), np.array(True), [True, False], np.array([True, False]), "0.5", None])
+def test_batch_times_must_be_real_numbers(t):
+    # A bool time used to run as 1.0, and a bool array as its 0/1 values.
+    bundle = StreamBundle.root_children(1, [1, 2])
+    ledger = CostLedger()
+    with pytest.raises(TypeError, match="time t"):
+        mlp_estimate_batch(_refusing_problem(), 1, 2, t, bundle, ledger)
+    assert ledger == CostLedger()
+
+
 def test_rv_exact_is_bigint_safe():
     # Deep schedules need levels in the dozens; values overflow 64 bits but
     # must stay exact integers.
@@ -158,6 +168,12 @@ def test_params_validation():
     p = builtin("const_drift")
     with pytest.raises(ValueError):
         mlp_estimate(p, MlpParams(1, 2, 1.5), root(SEED), CostLedger())
+
+
+@pytest.mark.parametrize("t,error", [(True, TypeError), ("0.5", TypeError), (None, TypeError), (math.inf, ValueError)])
+def test_params_time_must_be_a_finite_real(t, error):
+    with pytest.raises(error, match="time t"):
+        MlpParams(1, 1, t)
 
 
 def test_level_zero_returns_xi_without_draws():

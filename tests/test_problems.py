@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mlpicard.baseline import BaselineParams, mc_euler, reference_solve
-from mlpicard.mlp import CostLedger, MlpParams, mlp_estimate
+from mlpicard.baseline import BaselineParams, _euler_stream, mc_euler, reference_solve
+from mlpicard.mlp import CostLedger, MlpParams, _estimate_stream, mlp_estimate
 from mlpicard.problems import (
     BUILTIN_NAMES,
     ExpectationOdeProblem,
@@ -220,6 +220,13 @@ def test_scalar_sampler_may_consume_any_number_of_counters(n, m):
         want = estimate_scalar(p, n, m, 0.8, root(12345).spawn(j), want_ledger)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         assert ledger == want_ledger
+    # The same five lanes as one bundle: every lane keeps its own counters.
+    ledger, want_ledger = CostLedger(), CostLedger()
+    got = _estimate_stream(p, n, m, 0.8, StreamBundle.root_children(12345, np.arange(1, 6)), ledger)
+    for j in range(1, 6):
+        want = estimate_scalar(p, n, m, 0.8, root(12345).spawn(j), want_ledger)
+        assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
+    assert ledger == want_ledger
 
 
 @pytest.mark.parametrize("K,M", [(3, 100), (2, 5000)])
@@ -229,6 +236,10 @@ def test_scalar_sampler_counter_rule_holds_for_euler(K, M):
         got = mc_euler(p, BaselineParams(K, M), root(12345).spawn(j))
         want = euler_scalar(p, BaselineParams(K, M), root(12345).spawn(j))
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    got = _euler_stream(p, BaselineParams(K, M), StreamBundle.root_children(12345, np.arange(1, 6)))
+    for j in range(1, 6):
+        want = euler_scalar(p, BaselineParams(K, M), root(12345).spawn(j))
+        assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)

@@ -307,10 +307,10 @@ def test_bundle_indices_accept_integer_sequences_and_arrays():
         root(3).spawn(True)
 
 
-@pytest.mark.parametrize("counter,error", [(-3, ValueError), (True, TypeError), (1.5, TypeError)])
+@pytest.mark.parametrize("counter,error", [(-3, ValueError), (True, TypeError), (1.5, TypeError), (1 << 64, ValueError)])
 def test_stream_and_bundle_counters_are_checked(counter, error):
     # At counter -3, next_uniform() wrapped to counter 2**64 - 3 while the
-    # block draws raised OverflowError.
+    # block draws raised OverflowError; at 2**64 it drew the word of counter 0.
     keys = StreamBundle.root_children(3, [1, 2]).keys
     with pytest.raises(error, match="counter"):
         SplittableStream(3, (1,), counter)
@@ -327,3 +327,30 @@ def test_stream_block_counts_are_checked_before_any_word(count, error):
             draw(count)
         assert s.counter == 0
     assert s.uniforms(np.int64(0)).shape == (0,)
+
+
+def test_draws_stop_at_the_last_counter(monkeypatch):
+    # At counter 2**64 - 2 one counter is left: a uniform may be drawn, a
+    # Gaussian (two counters) may not, by all six draw methods alike.
+    last = (1 << 64) - 2
+    keys = StreamBundle.root_children(3, [1]).keys
+    u = SplittableStream(3, (1,), last).next_uniform()
+    assert SplittableStream(3, (1,), last).uniforms(1)[0] == u == StreamBundle(keys, last).next_uniform()[0]
+    s = SplittableStream(3, (1,), last)
+    s.next_uniform()
+    assert s.counter == (1 << 64) - 1 and s.uniforms(0).shape == s.gaussians(0).shape == (0,)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word was made before the counters were checked")
+
+    monkeypatch.setattr(rng, "_word", refuse)
+    monkeypatch.setattr(rng, "_mix64_np", refuse)
+    s, b = SplittableStream(3, (1,), last), StreamBundle(keys, last)
+    for draw in (s.next_gaussian, lambda: s.gaussians(1), lambda: s.uniforms(2), b.next_gaussian):
+        with pytest.raises(ValueError, match="counter"):
+            draw()
+    assert s.counter == b.counter == last
+    s.counter = b.counter = last + 1
+    for draw in (s.next_uniform, lambda: s.uniforms(1), b.next_uniform):
+        with pytest.raises(ValueError, match="counter"):
+            draw()
