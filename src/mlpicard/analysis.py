@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,9 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .baseline import BaselineParams, _check_km, _euler_stream, mc_euler_batch, reference_solve
+from .baseline import BaselineParams, _check_km, mc_euler_batch, reference_solve
 from .mlp import CostLedger, _check_nm, mlp_estimate_batch, rv_bound, rv_exact
-from .mlp import _estimate_stream as _estimate_scalar  # the lane-wise engine; perfbench wraps these names
 from .problems import ExpectationOdeProblem, _check_bound_constants
 from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, StreamBundle, _check_int, _check_real, _check_seed
 
@@ -296,9 +294,13 @@ def _finite_or_none(value: float | None) -> float | None:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    """Write via temp file + rename so no partial file is ever visible."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    """Write via temp file + rename so no partial file is ever visible.
+
+    The temp file, named by 64 random bits and never opened if it exists,
+    gets mode 0666 less the umask, as a plain ``open(path, "w")`` would
+    (``tempfile.mkstemp`` gives 0600), and ``os.replace`` keeps it."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -309,11 +311,9 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _run_lanes(problem, engines, args, seed, lanes):
+def _run_lanes(problem, engine, args, seed, lanes):
     """Realizations on ``root(seed).spawn(j)`` for j in ``lanes``, and their
-    ledger, from one engine call on the bundle of those lanes: the batch
-    engine when the problem has batch hooks, else the lane-wise one."""
-    engine = engines[0] if problem.has_batch else engines[1]
+    ledger, from one engine call on the bundle of those lanes."""
     ledger = CostLedger()
     return engine(problem, *args, StreamBundle.root_children(seed, lanes), ledger), ledger
 
@@ -354,16 +354,16 @@ def rmse_experiment(
     for a, b in grid:
         t0 = time.perf_counter()
         if scheme == "mlp":
-            engines, args = (mlp_estimate_batch, _estimate_scalar), (a, b, t)
+            engine, args = mlp_estimate_batch, (a, b, t)
             per_real = rv_exact(a, b)
             bound = error_bound(inputs, a, b)
             bound_rv = rv_bound(a, b) if a >= 1 else None
         else:
-            engines, args = (mc_euler_batch, _euler_stream), (BaselineParams(a, b),)
+            engine, args = mc_euler_batch, (BaselineParams(a, b),)
             per_real = a * b
             bound = None
             bound_rv = None
-        run = lambda lanes: _run_lanes(problem, engines, args, seed, lanes)
+        run = lambda lanes: _run_lanes(problem, engine, args, seed, lanes)
 
         if len(chunks) == 1:
             parts = [run(chunks[0])]

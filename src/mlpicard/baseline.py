@@ -14,14 +14,14 @@ Stream layout (frozen): node j (0-based) uses the child stream
 i = 1..M.  Fresh draws per node keep node errors independent.
 
 ``mc_euler_batch`` runs one realization per lane of a
-:class:`~mlpicard.rng.StreamBundle`, and so does ``_euler_stream`` for any
-problem; ``mc_euler`` runs its stream through the latter as a 1-lane
-bundle.  All use one K-step loop.  The node average is the estimator's
-fresh-draw kernel: the batch entry sums it in fixed chunks of 4096 draws,
-the lane-wise one one draw at a time, so per lane the two agree
-bit for bit up to M = 4096 and to rounding beyond.  The kernel draws each
-chunk in cache-sized sub-blocks that never regroup additions, so a node's
-draw temporaries stay bounded whatever M.
+:class:`~mlpicard.rng.StreamBundle` for any problem; ``mc_euler`` runs its
+stream as a 1-lane bundle.  Both use one K-step loop.  The node average is
+the estimator's fresh-draw kernel: the batch entry sums it in fixed chunks
+of 4096 draws when the problem has batch hooks, and ``mc_euler`` (and the
+batch entry on a problem without them) one draw at a time, so per lane
+the two agree bit for bit up to M = 4096 and to rounding beyond.  The
+kernel draws each chunk in cache-sized sub-blocks that never regroup
+additions, so a node's draw temporaries stay bounded whatever M.
 
 ``reference_solve`` provides the "truth" for RMSE measurements without
 statistical error: the closed form when the problem has one, otherwise
@@ -75,7 +75,7 @@ def mc_euler(
     Y_0 = xi;  Y_{j+1} = Y_j + (T/K) * mean_i F(Y_j, Z_{j,i});  returns Y_K.
     Records K*M Z draws and drift evaluations in the ledger.
     """
-    return _euler_stream(problem, params, _lane_bundle(stream), ledger)[0]
+    return _euler(_as_batch(problem), params, _lane_bundle(stream), ledger, params.samples)[0]
 
 
 def mc_euler_batch(
@@ -87,17 +87,13 @@ def mc_euler_batch(
     """Independent Euler-baseline realizations for every lane of ``bundle``.
 
     Lane ``i`` consumes exactly the draws of :func:`mc_euler` on the scalar
-    stream with the same (seed, path).  Returns shape ``(*lanes, dim)``.
+    stream with the same (seed, path).  A problem without batch hooks runs
+    its scalar hooks lane by lane, and each node sum takes one chunk of
+    ``M`` draws, which adds one draw at a time.  Returns shape
+    ``(*lanes, dim)``.
     """
-    if not problem.has_batch:
-        raise ValueError(f"problem {problem.name!r} has no batch hooks")
-    return _euler(problem, params, bundle, ledger, _DRAW_CHUNK)
-
-
-def _euler_stream(problem, params, bundle, ledger=None):
-    """``mc_euler`` on every lane of ``bundle``, for any problem: each node
-    sum takes one chunk of ``M`` draws, which adds one draw at a time."""
-    return _euler(_as_batch(problem), params, bundle, ledger, params.samples)
+    chunk = _DRAW_CHUNK if problem.has_batch else params.samples
+    return _euler(_as_batch(problem), params, bundle, ledger, chunk)
 
 
 def _euler(problem, params, bundle, ledger, chunk):

@@ -29,14 +29,14 @@ call matches it draw for draw.  Summation order is fixed (base term first,
 then levels ascending, k ascending) so floating-point results are
 reproducible.
 
-The one engine draws on :class:`~mlpicard.rng.StreamBundle` lanes.  The
-lane-wise entry ``_estimate_stream`` serves any problem and adds fresh
-draws one at a time on every lane; ``mlp_estimate`` runs its stream
-through it as a 1-lane bundle.  ``mlp_estimate_batch`` adds them in chunks
-of ``_BASE_CHUNK`` (see ``_draw_sum``).  A level's coupled nodes are drawn in
-node blocks: one ``spawn_block`` call gives every node of a block as a new
-leading lane axis, and the A- and B-recursions run once per block on those
-wider bundles.  Node blocks, and the sub-blocks in which a fresh-draw
+The one engine draws on :class:`~mlpicard.rng.StreamBundle` lanes.
+``mlp_estimate_batch`` serves any problem: it adds fresh draws in chunks
+of ``_BASE_CHUNK`` (see ``_draw_sum``) when the problem has batch hooks,
+and one at a time on every lane when it has not.  ``mlp_estimate`` runs
+its stream as a 1-lane bundle and adds one draw at a time.  A level's
+coupled nodes are drawn in node blocks: one ``spawn_block`` call gives
+every node of a block as a new leading lane axis, and the A- and
+B-recursions run once per block on those wider bundles.  Node blocks, and the sub-blocks in which a fresh-draw
 chunk is walked, each have an element budget (see ``_DRAW_BLOCK``) and
 share one carried chain (``_chain_sum``): each block's terms follow the
 running sum, so blocking never regroups additions and the temporaries
@@ -168,7 +168,9 @@ def mlp_estimate(
     Pure function of (problem, params, stream state); the ledger is
     accumulated in place.  Returns a fresh vector of shape (dim,).
     """
-    return _estimate_stream(problem, params.n, params.m, params.t, _lane_bundle(stream), ledger)[0]
+    bundle = _lane_bundle(stream)
+    n, m, t = _check_entry(problem, params.n, params.m, params.t, bundle.shape)
+    return _estimate(_as_batch(problem), n, m, t, bundle, ledger, m**n)[0]
 
 
 def mlp_estimate_batch(
@@ -182,26 +184,20 @@ def mlp_estimate_batch(
     """Independent estimator realizations for every lane of ``bundle``.
 
     ``t`` may be a scalar (broadcast to all lanes) or an array matching the
-    bundle's lane shape.  Requires the problem's batch hooks.  Lane ``i``
-    uses exactly the draws that ``mlp_estimate`` would use on a scalar
-    stream with the same (seed, path).  Returns shape ``(*lanes, dim)``.
+    bundle's lane shape.  Lane ``i`` uses exactly the draws that
+    ``mlp_estimate`` would use on a scalar stream with the same (seed,
+    path).  A problem without batch hooks runs its scalar hooks lane by
+    lane, and each fresh-draw sum, none above ``m**n`` draws, takes one
+    chunk, so every lane adds one draw at a time as its stream would.
+    Returns shape ``(*lanes, dim)``.
     """
     n, m, t = _check_entry(problem, n, m, t, bundle.shape)
-    if not problem.has_batch:
-        raise ValueError(f"problem {problem.name!r} has no batch hooks")
-    return _estimate(problem, n, m, t, bundle, ledger, _BASE_CHUNK)
-
-
-def _estimate_stream(problem, n, m, t, bundle, ledger):
-    """``mlp_estimate`` on every lane of ``bundle``, for any problem: each
-    fresh-draw sum, none above ``m**n`` draws, takes one chunk, so every
-    lane adds one draw at a time, as its stream would."""
-    n, m, t = _check_entry(problem, n, m, t, bundle.shape)
-    return _estimate(_as_batch(problem), n, m, t, bundle, ledger, m**n)
+    chunk = _BASE_CHUNK if problem.has_batch else m**n
+    return _estimate(_as_batch(problem), n, m, t, bundle, ledger, chunk)
 
 
 def _check_entry(problem, n, m, t, lanes):
-    """Validated ``(n, m, t)`` for either entry, before any draw, with ``t``
+    """Validated ``(n, m, t)`` for an entry, before any draw, with ``t``
     as a float64 array of the lane shape.  A scalar ``t`` takes the rule of
     :func:`~mlpicard.rng._check_real`; an array must hold integers or floats."""
     n, m = _check_nm(n, m)
@@ -251,15 +247,16 @@ def _estimate(problem, n, m, t, bundle, ledger, chunk):
 def _coupled_terms(problem, l, m, t, level, ledger, chunk, ks):
     """``F(A_k, Z_k) - F(B_k, Z_k)`` for a block ``ks`` of node indices of
     the level bundle ``level``, shape ``(len(ks), *lanes, dim)``: one A- and
-    one B-recursion for the whole block.  A level-1 B is ``xi`` and draws
-    nothing, so its keys are not derived.  ``r`` and ``F(A, Z)`` are taken
-    early, so a descent keeps fewer arrays alive."""
+    one B-recursion for the whole block.  A level-1 B is ``xi`` itself,
+    which draws nothing and which the drift broadcasts, as in the base
+    term.  ``r`` and ``F(A, Z)`` are taken early, so a descent keeps fewer
+    arrays alive."""
     nodes = _spawn_block(level, ks)
     s = nodes.next_uniform() * t
     z = problem.sample_z_batch(nodes)
     fa = problem.drift_batch(_estimate(problem, l, m, s, nodes, ledger, chunk), z)
-    b_nodes = _spawn_block(level, -ks) if l > 1 else None
-    return fa - problem.drift_batch(_estimate(problem, l - 1, m, s, b_nodes, ledger, chunk), z)
+    b = problem.xi if l == 1 else _estimate(problem, l - 1, m, s, _spawn_block(level, -ks), ledger, chunk)
+    return fa - problem.drift_batch(b, z)
 
 
 def _initial_state(problem, lanes):

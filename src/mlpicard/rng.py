@@ -176,13 +176,13 @@ def _leaf_block(bundle: "StreamBundle", indices: np.ndarray) -> "StreamBundle":
 def _words_np(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
     """The words at counters ``counter .. counter+count-1`` of every key,
     one ``_mix64_np`` call, shape ``(count, *keys.shape)``, in this
-    thread's scratch.  Checks the counters first (:func:`_check_draw`)."""
+    thread's scratch (the salted keys are a fresh key-shaped temporary).
+    Checks the counters first (:func:`_check_draw`)."""
     _check_draw(counter, count)
     steps = np.arange(count, dtype=np.uint64) + np.uint64((counter + 1) & _MASK)
     steps *= _U64_GOLDEN
     words = _scratch_array(_WORDS, (count,) + keys.shape)
-    np.bitwise_xor(keys, _U64_DRAW, out=words)
-    words += steps.reshape((count,) + (1,) * keys.ndim)
+    np.add(keys ^ _U64_DRAW, steps.reshape((count,) + (1,) * keys.ndim), out=words)
     return _mix64_np(words)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -440,14 +441,14 @@ def test_scalar_only_csv_bytes_are_pinned(scheme, point, threads):
 
 
 @pytest.mark.parametrize("threads,widths", [(1, [7]), (2, [3, 4])])
-@pytest.mark.parametrize("scheme,engine", [("mlp", "_estimate_scalar"), ("mc_euler", "_euler_stream")])
+@pytest.mark.parametrize("scheme,engine", [("mlp", "mlp_estimate_batch"), ("mc_euler", "mc_euler_batch")])
 def test_problems_without_batch_hooks_run_one_engine_call_per_lane_chunk(monkeypatch, scheme, engine, threads, widths):
     calls = []
-    lane_wise = getattr(analysis, engine)
+    batch = getattr(analysis, engine)
 
     def counted(*args):
         calls.append(args[-2].shape[0])  # the bundle of the lane chunk
-        return lane_wise(*args)
+        return batch(*args)
 
     monkeypatch.setattr(analysis, engine, counted)
     bare = dataclasses.replace(builtin("sine_meanfield"), name="sine_scalar_only", sample_z_batch=None, drift_batch=None)
@@ -490,6 +491,16 @@ def test_report_serialization(tmp_path):
 
     with pytest.raises(ValueError):
         rep.write(str(tmp_path / "x"), "xml")
+
+
+def test_artifacts_get_the_mode_of_a_plain_create(tmp_path):
+    rep = rmse_experiment(builtin("const_drift"), "mlp", [(1, 1)], 2, SEED)
+    rep.write(str(tmp_path / "out.csv"), "csv")
+    with open(tmp_path / "plain.csv", "w") as fh:
+        fh.write(rep.csv_text())
+    mode = lambda name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+    assert mode("out.csv") == mode("plain.csv")
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "plain.csv"]
 
 
 def test_json_is_standard_json_when_a_bound_overflows():

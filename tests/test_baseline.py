@@ -140,22 +140,6 @@ def test_worker_thread_gives_the_same_bits(name):
         assert np.array_equal(pool.submit(run).result(timeout=60), run())
 
 
-def test_batch_requires_batch_hooks():
-    p = builtin("pure_noise")
-    bare = ExpectationOdeProblem(
-        name="euler_nobatch",
-        dim=1,
-        xi=np.zeros(1),
-        horizon=1.0,
-        lipschitz=0.0,
-        sample_z=p.sample_z,
-        drift=p.drift,
-        f_xi_second_moment=1.0,
-    )
-    with pytest.raises(ValueError, match="batch"):
-        mc_euler_batch(bare, BaselineParams(2, 2), StreamBundle.root_children(1, [1]))
-
-
 def test_batch_ledger_scales_with_lanes():
     ledger = CostLedger()
     mc_euler_batch(

@@ -363,22 +363,6 @@ def test_batch_accepts_per_lane_times():
                 _assert_same_bits(out[i], want)
 
 
-def test_batch_requires_batch_hooks():
-    p = builtin("pure_noise")
-    bare = ExpectationOdeProblem(
-        name="nobatch",
-        dim=1,
-        xi=np.zeros(1),
-        horizon=1.0,
-        lipschitz=0.0,
-        sample_z=p.sample_z,
-        drift=p.drift,
-        f_xi_second_moment=1.0,
-    )
-    with pytest.raises(ValueError, match="batch"):
-        mlp_estimate_batch(bare, 1, 2, 1.0, StreamBundle.root_children(1, [1]), CostLedger())
-
-
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 2), (2, 23), (1, 600)])
 def test_scalar_entry_matches_oracle(name, n, m):

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mlpicard.baseline import BaselineParams, _euler_stream, mc_euler, reference_solve
-from mlpicard.mlp import CostLedger, MlpParams, _estimate_stream, mlp_estimate
+from mlpicard.baseline import BaselineParams, mc_euler, mc_euler_batch, reference_solve
+from mlpicard.mlp import CostLedger, MlpParams, mlp_estimate, mlp_estimate_batch
 from mlpicard.problems import (
     BUILTIN_NAMES,
     ExpectationOdeProblem,
@@ -222,7 +222,7 @@ def test_scalar_sampler_may_consume_any_number_of_counters(n, m):
         assert ledger == want_ledger
     # The same five lanes as one bundle: every lane keeps its own counters.
     ledger, want_ledger = CostLedger(), CostLedger()
-    got = _estimate_stream(p, n, m, 0.8, StreamBundle.root_children(12345, np.arange(1, 6)), ledger)
+    got = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(12345, np.arange(1, 6)), ledger)
     for j in range(1, 6):
         want = estimate_scalar(p, n, m, 0.8, root(12345).spawn(j), want_ledger)
         assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
@@ -236,10 +236,29 @@ def test_scalar_sampler_counter_rule_holds_for_euler(K, M):
         got = mc_euler(p, BaselineParams(K, M), root(12345).spawn(j))
         want = euler_scalar(p, BaselineParams(K, M), root(12345).spawn(j))
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    got = _euler_stream(p, BaselineParams(K, M), StreamBundle.root_children(12345, np.arange(1, 6)))
+    got = mc_euler_batch(p, BaselineParams(K, M), StreamBundle.root_children(12345, np.arange(1, 6)))
     for j in range(1, 6):
         want = euler_scalar(p, BaselineParams(K, M), root(12345).spawn(j))
         assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
+
+
+@pytest.mark.parametrize("scheme", ["mlp", "mc_euler"])
+def test_batch_entries_serve_problems_without_batch_hooks(scheme):
+    # The public batch entries take each fresh-draw sum of a problem without
+    # batch hooks as one chunk: 900 base-term draws, 5000 draws per node.
+    p = _scalar_only(builtin("linear_meanfield"), name="rejection", sample_z=_rejection_sample_z)
+    bundle = StreamBundle.root_children(12345, np.arange(1, 6))
+    ledger, want_ledger = CostLedger(), CostLedger()
+    if scheme == "mlp":
+        got = mlp_estimate_batch(p, 2, 30, 0.8, bundle, ledger)
+        run = lambda stream: estimate_scalar(p, 2, 30, 0.8, stream, want_ledger)
+    else:
+        got = mc_euler_batch(p, BaselineParams(2, 5000), bundle, ledger)
+        run = lambda stream: euler_scalar(p, BaselineParams(2, 5000), stream, want_ledger)
+    for j in range(1, 6):
+        want = run(root(12345).spawn(j))
+        assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
+    assert ledger == want_ledger
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
