@@ -10,7 +10,6 @@ import numpy as np
 
 from mlpicard import (
     CostLedger,
-    MlpParams,
     StreamBundle,
     builtin,
     mlp_estimate,
@@ -22,9 +21,10 @@ from mlpicard import (
 
 problem = builtin("linear_meanfield")  # X' = 1 - X, X(1) = 1 - 1/e ~ 0.6321
 
-# A single realization, with the ledger tracking every draw.
+# A single realization at level n=3, base m=3, time t=1, with the ledger
+# tracking every draw.
 ledger = CostLedger()
-value = mlp_estimate(problem, MlpParams(n=3, m=3, t=1.0), root(2024), ledger)
+value = mlp_estimate(problem, 3, 3, 1.0, root(2024), ledger)
 print("one realization of X_{3,3}(1) :", value[0])
 print("ledger                        :", ledger)
 print("rv_exact(3,3)                 :", rv_exact(3, 3), "(matches z_draws)")
@@ -38,7 +38,7 @@ for n in range(1, 7):
 
 # Averaging a constant is exact: for F = 1 every realization equals t.
 const = builtin("const_drift")
-out = mlp_estimate(const, MlpParams(2, 4, 0.7), root(5), CostLedger())
+out = mlp_estimate(const, 2, 4, 0.7, root(5), CostLedger())
 print("\nconstant drift at t=0.7       :", out[0], "(exact)")
 
 # Replications vectorise across lanes; lane j reproduces the scalar result

@@ -22,13 +22,12 @@ from .analysis import (
     tail_bound_max,
 )
 from .baseline import (
-    BaselineParams,
     NoReferenceError,
     mc_euler,
     mc_euler_batch,
     reference_solve,
 )
-from .mlp import CostLedger, MlpParams, mlp_estimate, mlp_estimate_batch, rv_bound, rv_exact
+from .mlp import CostLedger, mlp_estimate, mlp_estimate_batch, rv_bound, rv_exact
 from .problems import (
     BUILTIN_NAMES,
     ExpectationOdeProblem,
@@ -41,13 +40,11 @@ from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, SplittableStream, StreamBund
 
 __all__ = [
     "BUILTIN_NAMES",
-    "BaselineParams",
     "BoundInputs",
     "CostLedger",
     "ExpectationOdeProblem",
     "GAUSSIAN_ALGORITHM",
     "InsufficientDataError",
-    "MlpParams",
     "NoReferenceError",
     "RNG_ALGORITHM",
     "RmseReport",

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .baseline import BaselineParams, _check_km, mc_euler_batch, reference_solve
+from .baseline import _check_km, mc_euler_batch, reference_solve
 from .mlp import CostLedger, _check_nm, mlp_estimate_batch, rv_bound, rv_exact
 from .problems import ExpectationOdeProblem, _check_bound_constants
 from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, StreamBundle, _check_int, _check_real, _check_seed
@@ -359,7 +359,7 @@ def rmse_experiment(
             bound = error_bound(inputs, a, b)
             bound_rv = rv_bound(a, b) if a >= 1 else None
         else:
-            engine, args = mc_euler_batch, (BaselineParams(a, b),)
+            engine, args = mc_euler_batch, (a, b)
             per_real = a * b
             bound = None
             bound_rv = None
@@ -374,7 +374,7 @@ def rmse_experiment(
         ledger = CostLedger()
         for p in parts:
             ledger = ledger.merge(p[1])
-        if scheme == "mlp" and ledger.z_draws != per_real * replications:
+        if ledger.z_draws != per_real * replications:
             raise RuntimeError(
                 "cost accounting violated: "
                 f"{ledger.z_draws} z draws != {per_real} * {replications}"

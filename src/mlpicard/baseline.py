@@ -31,32 +31,19 @@ partial step to land on the requested time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mlp import CostLedger, _draw_sum, _initial_state
 from .problems import ExpectationOdeProblem, _as_batch
 from .rng import SplittableStream, StreamBundle, _check_int, _check_real, _lane_bundle
 
-__all__ = ["BaselineParams", "NoReferenceError", "mc_euler", "mc_euler_batch", "reference_solve"]
+__all__ = ["NoReferenceError", "mc_euler", "mc_euler_batch", "reference_solve"]
 
 _DRAW_CHUNK = 4096  # per-node Z draws vectorised in fixed blocks
 
 
 class NoReferenceError(ValueError):
     """Raised when a problem has neither closed form nor exact mean drift."""
-
-
-@dataclass(frozen=True)
-class BaselineParams:
-    """Euler grid size ``steps`` (K) and Z draws per grid node ``samples`` (M)."""
-
-    steps: int
-    samples: int
-
-    def __post_init__(self):
-        _check_km(self.steps, self.samples)
 
 
 def _check_km(steps, samples) -> tuple[int, int]:
@@ -66,41 +53,44 @@ def _check_km(steps, samples) -> tuple[int, int]:
 
 def mc_euler(
     problem: ExpectationOdeProblem,
-    params: BaselineParams,
+    steps: int,
+    samples: int,
     stream: SplittableStream,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
 ) -> np.ndarray:
-    """One realization of the Euler baseline at the horizon.
+    """One realization of the Euler baseline at the horizon, with ``steps``
+    (K) grid steps and ``samples`` (M) Z draws per grid node.
 
     Y_0 = xi;  Y_{j+1} = Y_j + (T/K) * mean_i F(Y_j, Z_{j,i});  returns Y_K.
     Records K*M Z draws and drift evaluations in the ledger.
     """
-    return _euler(_as_batch(problem), params, _lane_bundle(stream), ledger, params.samples)[0]
+    K, M = _check_km(steps, samples)
+    return _euler(_as_batch(problem), K, M, _lane_bundle(stream), ledger, M)[0]
 
 
 def mc_euler_batch(
     problem: ExpectationOdeProblem,
-    params: BaselineParams,
+    steps: int,
+    samples: int,
     bundle: StreamBundle,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
 ) -> np.ndarray:
     """Independent Euler-baseline realizations for every lane of ``bundle``.
 
     Lane ``i`` consumes exactly the draws of :func:`mc_euler` on the scalar
-    stream with the same (seed, path).  A problem without batch hooks runs
-    its scalar hooks lane by lane, and each node sum takes one chunk of
-    ``M`` draws, which adds one draw at a time.  Returns shape
-    ``(*lanes, dim)``.
+    stream with the same (seed, path), and records K*M draws per lane.
+    A problem without batch hooks runs its scalar hooks lane by lane, and
+    each node sum takes one chunk of ``M`` draws, which adds one draw at a
+    time.  Returns shape ``(*lanes, dim)``.
     """
-    chunk = _DRAW_CHUNK if problem.has_batch else params.samples
-    return _euler(_as_batch(problem), params, bundle, ledger, chunk)
+    K, M = _check_km(steps, samples)
+    chunk = _DRAW_CHUNK if problem.has_batch else M
+    return _euler(_as_batch(problem), K, M, bundle, ledger, chunk)
 
 
-def _euler(problem, params, bundle, ledger, chunk):
+def _euler(problem, K, M, bundle, ledger, chunk):
     """The K-step Euler loop on every lane, node sums in chunks of ``chunk``."""
-    K, M = params.steps, params.samples
     h = problem.horizon / K
-    ledger = CostLedger() if ledger is None else ledger
     y = _initial_state(problem, bundle.shape)
     for j in range(K):
         y = y + (h / M) * _draw_sum(problem, y, bundle.spawn(j), M, chunk, ledger)

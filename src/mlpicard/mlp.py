@@ -34,15 +34,16 @@ The one engine draws on :class:`~mlpicard.rng.StreamBundle` lanes.
 of ``_BASE_CHUNK`` (see ``_draw_sum``) when the problem has batch hooks,
 and one at a time on every lane when it has not.  ``mlp_estimate`` runs
 its stream as a 1-lane bundle and adds one draw at a time.  A level's
-coupled nodes are drawn in node blocks: one ``spawn_block`` call gives
+coupled nodes are drawn in node blocks: one ``_spawn_block`` call gives
 every node of a block as a new leading lane axis, and the A- and
-B-recursions run once per block on those wider bundles.  Node blocks, and the sub-blocks in which a fresh-draw
-chunk is walked, each have an element budget (see ``_DRAW_BLOCK``) and
-share one carried chain (``_chain_sum``): each block's terms follow the
-running sum, so blocking never regroups additions and the temporaries
-stay bounded however large ``m**n``.  The draw kernel's temporaries, a
-sub-block's keys and the carried chain live in the per-thread scratch of
-:mod:`mlpicard.rng`, so repeated draws reuse their memory.
+B-recursions run once per block on those wider bundles.  Node blocks, and
+the sub-blocks in which a fresh-draw chunk is walked, each have an
+element budget (see ``_DRAW_BLOCK``) and share one carried chain
+(``_chain_sum``): each block's terms follow the running sum, so blocking
+never regroups additions and the temporaries stay bounded however large
+``m**n``.  The draw kernel's temporaries, a sub-block's keys and the
+carried chain live in the per-thread scratch of :mod:`mlpicard.rng`, so
+repeated draws reuse their memory.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .rng import _scratch_array, _spawn_block
 
 __all__ = [
     "CostLedger",
-    "MlpParams",
     "mlp_estimate",
     "mlp_estimate_batch",
     "rv_bound",
@@ -117,19 +117,6 @@ def _check_nm(n, m, n_min: int = 0) -> tuple[int, int]:
     return _check_int(n, "level n", n_min), _check_int(m, "base m", 1)
 
 
-@dataclass(frozen=True)
-class MlpParams:
-    """Picard level ``n >= 0``, Monte Carlo base ``m >= 1``, time ``t``."""
-
-    n: int
-    m: int
-    t: float
-
-    def __post_init__(self):
-        _check_nm(self.n, self.m)
-        _check_real(self.t, "time t", 0.0)
-
-
 @lru_cache(maxsize=None, typed=True)
 def rv_exact(n: int, m: int) -> int:
     """Exact number of Z draws consumed by one level-``n`` realization.
@@ -159,17 +146,19 @@ def rv_bound(n: int, m: int) -> int:
 
 def mlp_estimate(
     problem: ExpectationOdeProblem,
-    params: MlpParams,
+    n: int,
+    m: int,
+    t: float,
     stream: SplittableStream,
     ledger: CostLedger,
 ) -> np.ndarray:
-    """One realization of the level-(n, m) estimator at time ``params.t``.
+    """One realization of the level-(n, m) estimator at ``t`` in [0, horizon].
 
-    Pure function of (problem, params, stream state); the ledger is
+    Pure function of (problem, n, m, t, stream state); the ledger is
     accumulated in place.  Returns a fresh vector of shape (dim,).
     """
     bundle = _lane_bundle(stream)
-    n, m, t = _check_entry(problem, params.n, params.m, params.t, bundle.shape)
+    n, m, t = _check_entry(problem, n, m, t, bundle.shape)
     return _estimate(_as_batch(problem), n, m, t, bundle, ledger, m**n)[0]
 
 
@@ -184,12 +173,12 @@ def mlp_estimate_batch(
     """Independent estimator realizations for every lane of ``bundle``.
 
     ``t`` may be a scalar (broadcast to all lanes) or an array matching the
-    bundle's lane shape.  Lane ``i`` uses exactly the draws that
-    ``mlp_estimate`` would use on a scalar stream with the same (seed,
-    path).  A problem without batch hooks runs its scalar hooks lane by
-    lane, and each fresh-draw sum, none above ``m**n`` draws, takes one
-    chunk, so every lane adds one draw at a time as its stream would.
-    Returns shape ``(*lanes, dim)``.
+    bundle's lane shape, every value in [0, horizon].  Lane ``i`` uses
+    exactly the draws that ``mlp_estimate`` would use on a scalar stream
+    with the same (seed, path).  A problem without batch hooks runs its
+    scalar hooks lane by lane, and each fresh-draw sum, none above ``m**n``
+    draws, takes one chunk, so every lane adds one draw at a time as its
+    stream would.  Returns shape ``(*lanes, dim)``.
     """
     n, m, t = _check_entry(problem, n, m, t, bundle.shape)
     chunk = _BASE_CHUNK if problem.has_batch else m**n

@@ -20,7 +20,8 @@ The engines draw only on :class:`~mlpicard.rng.StreamBundle` lanes, by the
 batch hooks.  ``sample_z_batch`` must consume draws from its bundle in
 exactly the pattern ``sample_z`` uses on a
 :class:`~mlpicard.rng.SplittableStream`; ``drift_batch`` receives states
-shaped (..., dim) and the batch Z payload and must broadcast to (..., dim).
+whose shape is a suffix of (*lanes, dim), such as (dim,), and the batch
+Z payload of lane shape ``lanes``, and must return shape (*lanes, dim).
 :func:`register_problem` checks this (see :func:`check_problem`).  A batch
 hook must not keep the bundle it is handed past the call: its keys may
 live in per-thread scratch that the next draw on the thread overwrites
@@ -119,33 +120,49 @@ def _as_batch(problem: ExpectationOdeProblem) -> ExpectationOdeProblem:
 
 
 def check_problem(problem: ExpectationOdeProblem) -> None:
-    """Check a problem's batch hooks against its scalar hooks.
+    """Check a problem's batch hooks against its scalar hooks at the shapes
+    the engines use.
 
-    On three lanes, at counter 0 and at counter 1 (an MLP node's Z follows
-    its time draw), ``drift_batch(xi, sample_z_batch(bundle))`` must have
-    shape ``(3, dim)`` and equal, bit for bit, the scalar hooks run lane by
-    lane.  NaN equals NaN: a drift may be non-finite.  Raises
-    ``ValueError`` naming the hook; a problem without batch hooks passes.
+    ``drift_batch(x, sample_z_batch(bundle))`` must have shape
+    ``(*lanes, dim)`` and equal, bit for bit, the scalar hooks run lane by
+    lane: at ``x = xi`` on three lanes, at counter 0 and at counter 1 (an
+    MLP node's Z follows its time draw); and on lanes of shape (2, 3), with
+    states other than ``xi``, at counter 0 with states of shape (3, dim) (an
+    Euler node against a block of draws) and at counter 1 with states of
+    shape (2, 3, dim) (an MLP node block).  NaN equals NaN: a drift may be
+    non-finite.  Raises ``ValueError`` naming the hook; a problem without
+    batch hooks passes.
     """
     if not problem.has_batch:
         return
     scalar = _as_batch(dataclasses.replace(problem, sample_z_batch=None, drift_batch=None))
-    keys = StreamBundle.root_children(0, [1, 2, 3]).keys
-    for counter in (0, 1):
-        z = problem.sample_z_batch(StreamBundle(keys, counter))
-        got = np.asarray(problem.drift_batch(problem.xi, z), np.float64)
-        if got.shape != (3, problem.dim):
+    keys = StreamBundle.root_children(0, [[1, 2, 3], [4, 5, 6]]).keys
+    states = problem.xi + np.arange(1, 7).reshape(2, 3, 1) / 8  # one exact offset per lane
+    cases = ((problem.xi, keys[0], 0), (problem.xi, keys[0], 1), (states[0], keys, 0), (states, keys, 1))
+    for x, lanes, counter in cases:
+        z = _call_hook(problem, "sample_z_batch", lanes.shape, StreamBundle(lanes, counter))
+        got = np.asarray(_call_hook(problem, "drift_batch", lanes.shape, x, z), np.float64)
+        if got.shape != lanes.shape + (problem.dim,):
             raise ValueError(
-                f"problem {problem.name!r}: drift_batch(xi, sample_z_batch(bundle)) on 3 lanes "
-                f"has shape {got.shape}, not (3, {problem.dim})"
+                f"problem {problem.name!r}: drift_batch(x, sample_z_batch(bundle)) on lanes {lanes.shape} "
+                f"has shape {got.shape}, not {lanes.shape + (problem.dim,)}"
             )
-        want = scalar.drift_batch(problem.xi, scalar.sample_z_batch(StreamBundle(keys, counter)))
+        want = scalar.drift_batch(x, scalar.sample_z_batch(StreamBundle(lanes, counter)))
         nan = np.isnan(got) & np.isnan(want)
         if not np.all(nan | ((got == want) & (np.signbit(got) == np.signbit(want)))):
             raise ValueError(
-                f"problem {problem.name!r}: sample_z_batch and drift_batch at counter {counter} "
-                f"give {got.tolist()}, but sample_z and drift give {want.tolist()}"
+                f"problem {problem.name!r}: sample_z_batch and drift_batch on lanes {lanes.shape} at counter "
+                f"{counter} give {got.tolist()}, but sample_z and drift give {want.tolist()}"
             )
+
+
+def _call_hook(problem, hook, lanes, *args):
+    """``problem.<hook>(*args)``, any error it raises as a ``ValueError``
+    that names the hook and the lane shape."""
+    try:
+        return getattr(problem, hook)(*args)
+    except Exception as exc:
+        raise ValueError(f"problem {problem.name!r}: {hook} on lanes {lanes} raised {exc!r}") from exc
 
 
 def register_problem(problem: ExpectationOdeProblem, replace: bool = False) -> None:

@@ -166,7 +166,7 @@ def _spawn_block(bundle: "StreamBundle", indices: np.ndarray, out=None) -> "Stre
 
 
 def _leaf_block(bundle: "StreamBundle", indices: np.ndarray) -> "StreamBundle":
-    """``bundle.spawn_block(indices)`` with its keys in this thread's
+    """``_spawn_block(bundle, indices)`` with its keys in this thread's
     scratch: valid until the next leaf block on the thread, so it serves
     only a draw that ends before the next one starts."""
     out = _scratch_array(_LEAF_KEYS, (len(indices),) + bundle.shape)
@@ -414,10 +414,6 @@ class StreamBundle:
     def spawn(self, index: int) -> "StreamBundle":
         """Elementwise child bundle for one index; counter resets to 0."""
         return StreamBundle(_child_keys_np(self.keys, np.int64(_check_index(index))))
-
-    def spawn_block(self, indices) -> "StreamBundle":
-        """Child bundle over a block of indices: keys shape (len(indices), *shape)."""
-        return _spawn_block(self, _check_indices(indices))
 
     def next_uniform(self) -> np.ndarray:
         u = _uniform_from_words(_words_np(self.keys, self.counter, 1)[0])

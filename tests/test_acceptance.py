@@ -20,7 +20,7 @@ from mlpicard.analysis import (
     rmse_experiment,
 )
 from mlpicard.cli import main
-from mlpicard.mlp import CostLedger, MlpParams, mlp_estimate, mlp_estimate_batch, rv_bound, rv_exact
+from mlpicard.mlp import CostLedger, mlp_estimate, mlp_estimate_batch, rv_bound, rv_exact
 from mlpicard.problems import BUILTIN_NAMES, builtin
 from mlpicard.rng import StreamBundle, root
 
@@ -40,7 +40,7 @@ def test_criterion_1_exact_cost_law():
     for n in range(0, 7):
         for m in range(1, 5):
             ledger = CostLedger()
-            mlp_estimate(problem, MlpParams(n, m, 1.0), root(SEED).spawn(100 * n + m), ledger)
+            mlp_estimate(problem, n, m, 1.0, root(SEED).spawn(100 * n + m), ledger)
             ok &= ledger.z_draws == rv_exact(n, m)
             ok &= ledger.f_evals == ledger.z_draws + ledger.uniform_draws
             if n >= 1:
@@ -224,7 +224,7 @@ def test_criterion_8_degenerate_exactness():
     for name in BUILTIN_NAMES:
         problem = builtin(name)
         ledger = CostLedger()
-        out = mlp_estimate(problem, MlpParams(0, 3, problem.horizon), root(SEED), ledger)
+        out = mlp_estimate(problem, 0, 3, problem.horizon, root(SEED), ledger)
         ok &= np.array_equal(out, problem.xi)
         ok &= ledger == CostLedger()
     elapsed = time.perf_counter() - t0

@@ -25,7 +25,7 @@ from mlpicard.analysis import (
     tail_bound_max,
 )
 from mlpicard.baseline import NoReferenceError
-from mlpicard.mlp import rv_exact
+from mlpicard.mlp import CostLedger, rv_exact
 from mlpicard.problems import ExpectationOdeProblem, builtin
 
 SEED = 12345
@@ -454,6 +454,16 @@ def test_problems_without_batch_hooks_run_one_engine_call_per_lane_chunk(monkeyp
     bare = dataclasses.replace(builtin("sine_meanfield"), name="sine_scalar_only", sample_z_batch=None, drift_batch=None)
     rmse_experiment(bare, scheme, [(2, 3)], 7, SEED, threads=threads)
     assert sorted(calls) == widths
+
+
+@pytest.mark.parametrize("scheme,engine", [("mlp", "mlp_estimate_batch"), ("mc_euler", "mc_euler_batch")])
+def test_short_ledger_violates_the_cost_law(monkeypatch, scheme, engine):
+    # An engine that records its draws in another ledger than the one it is
+    # handed breaks the exact cost law, for either scheme.
+    batch = getattr(analysis, engine)
+    monkeypatch.setattr(analysis, engine, lambda *args: batch(*args[:-1], CostLedger()))
+    with pytest.raises(RuntimeError, match="cost accounting violated"):
+        rmse_experiment(builtin("linear_meanfield"), scheme, [(2, 3)], 4, SEED)
 
 
 def test_mc_euler_rows_carry_grid_and_cost():

@@ -1,0 +1,80 @@
+"""The public API: the names the package exports and the estimator entries'
+one signature."""
+
+import inspect
+
+import pytest
+
+import mlpicard
+from mlpicard import StreamBundle, builtin, mc_euler, mc_euler_batch, mlp_estimate, mlp_estimate_batch, root
+
+# Adding or removing a public name is a deliberate edit of this list.
+PUBLIC_NAMES = [
+    "BUILTIN_NAMES",
+    "BoundInputs",
+    "CostLedger",
+    "ExpectationOdeProblem",
+    "GAUSSIAN_ALGORITHM",
+    "InsufficientDataError",
+    "NoReferenceError",
+    "RNG_ALGORITHM",
+    "RmseReport",
+    "RmseRow",
+    "Schedule",
+    "SplittableStream",
+    "StreamBundle",
+    "UnknownProblemError",
+    "__version__",
+    "builtin",
+    "complexity_fit",
+    "error_bound",
+    "fit_power_law",
+    "mc_euler",
+    "mc_euler_batch",
+    "mlp_estimate",
+    "mlp_estimate_batch",
+    "n_epsilon",
+    "problem_names",
+    "reference_solve",
+    "register_problem",
+    "rmse_experiment",
+    "root",
+    "rv_bound",
+    "rv_exact",
+    "tail_bound_max",
+]
+
+# The paper's indices as plain values, then the stream, then the ledger.
+ENTRY_PARAMETERS = {
+    mlp_estimate: ["problem", "n", "m", "t", "stream", "ledger"],
+    mlp_estimate_batch: ["problem", "n", "m", "t", "bundle", "ledger"],
+    mc_euler: ["problem", "steps", "samples", "stream", "ledger"],
+    mc_euler_batch: ["problem", "steps", "samples", "bundle", "ledger"],
+}
+
+
+def test_public_names_are_pinned():
+    assert sorted(mlpicard.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(mlpicard, name), name
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_PARAMETERS), ids=lambda f: f.__name__)
+def test_entries_share_one_signature(entry):
+    parameters = inspect.signature(entry).parameters.values()
+    assert [p.name for p in parameters] == ENTRY_PARAMETERS[entry]
+    assert all(p.default is inspect.Parameter.empty for p in parameters)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: mlp_estimate(p, 2, 2, 1.0, root(1)),
+        lambda p: mlp_estimate_batch(p, 2, 2, 1.0, StreamBundle.root_children(1, [1])),
+        lambda p: mc_euler(p, 2, 2, root(1)),
+        lambda p: mc_euler_batch(p, 2, 2, StreamBundle.root_children(1, [1])),
+    ],
+)
+def test_entries_require_a_ledger(call):
+    with pytest.raises(TypeError, match="ledger"):
+        call(builtin("linear_meanfield"))

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from mlpicard import mlp
 from mlpicard.analysis import rmse_experiment
 from mlpicard.baseline import (
-    BaselineParams,
     NoReferenceError,
     mc_euler,
     mc_euler_batch,
@@ -25,24 +25,46 @@ X_INF = 1.0 - math.exp(-1.0)
 SEED = 12345
 
 
+def _refusing_problem():
+    # Any draw raises, so an input error must be reported before sampling.
+    def refuse(*args):
+        raise AssertionError("drew before validating")
+
+    hooks = dict.fromkeys(("sample_z", "drift", "sample_z_batch", "drift_batch"), refuse)
+    return dataclasses.replace(builtin("pure_noise"), name="refusing", **hooks)
+
+
+# Both entries, on a 1-lane stream and on a 2-lane bundle.
+ENTRIES = [
+    lambda p, K, M, ledger: mc_euler(p, K, M, root(1), ledger),
+    lambda p, K, M, ledger: mc_euler_batch(p, K, M, StreamBundle.root_children(1, [1, 2]), ledger),
+]
+
+
 def test_params_validation():
-    with pytest.raises(ValueError):
-        BaselineParams(0, 1)
-    with pytest.raises(ValueError):
-        BaselineParams(1, 0)
-    assert BaselineParams(np.int64(3), np.int32(2)) == BaselineParams(3, 2)
+    # Each entry checks K and M itself, before any draw.
+    p = builtin("linear_meanfield")
+    for entry in ENTRIES:
+        for K, M in [(0, 1), (1, 0)]:
+            ledger = CostLedger()
+            with pytest.raises(ValueError):
+                entry(_refusing_problem(), K, M, ledger)
+            assert ledger == CostLedger()
+        want = entry(p, 3, 2, CostLedger())
+        assert np.array_equal(entry(p, np.int64(3), np.int32(2), CostLedger()), want)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), "3"])
 def test_params_must_be_integers(bad):
-    with pytest.raises(TypeError, match="must be an integer"):
-        BaselineParams(bad, 3)
-    with pytest.raises(TypeError, match="must be an integer"):
-        BaselineParams(3, bad)
+    for entry in ENTRIES:
+        with pytest.raises(TypeError, match="must be an integer"):
+            entry(_refusing_problem(), bad, 3, CostLedger())
+        with pytest.raises(TypeError, match="must be an integer"):
+            entry(_refusing_problem(), 3, bad, CostLedger())
 
 
 def test_const_drift_euler_is_exact():
-    out = mc_euler(builtin("const_drift"), BaselineParams(4, 1), root(0))
+    out = mc_euler(builtin("const_drift"), 4, 1, root(0), CostLedger())
     assert out[0] == 1.0
 
 
@@ -58,12 +80,12 @@ def test_zero_drift_stays_at_origin():
         f_xi_second_moment=0.0,
     )
     for K, M in ((1, 1), (7, 3)):
-        assert mc_euler(p, BaselineParams(K, M), root(2))[0] == 0.0
+        assert mc_euler(p, K, M, root(2), CostLedger())[0] == 0.0
 
 
 def test_ledger_counts_k_times_m():
     ledger = CostLedger()
-    mc_euler(builtin("pure_noise"), BaselineParams(5, 3), root(1), ledger)
+    mc_euler(builtin("pure_noise"), 5, 3, root(1), ledger)
     assert ledger.z_draws == 15
     assert ledger.f_evals == 15
     assert ledger.uniform_draws == 0
@@ -71,9 +93,8 @@ def test_ledger_counts_k_times_m():
 
 def test_batch_matches_scalar():
     p = builtin("linear_meanfield")
-    params = BaselineParams(6, 3)
-    scal = euler_scalar(p, params, root(3).spawn(5))
-    batch = mc_euler_batch(p, params, StreamBundle.root_children(3, [5]))
+    scal = euler_scalar(p, SimpleNamespace(steps=6, samples=3), root(3).spawn(5))
+    batch = mc_euler_batch(p, 6, 3, StreamBundle.root_children(3, [5]), CostLedger())
     assert np.array_equal(scal, batch[0])
 
 
@@ -83,8 +104,8 @@ def test_scalar_entry_matches_oracle(name, K, M):
     # (1, 4100) puts more than one 4096-draw chunk in a node average.
     p = named_problem(name)
     ledger, want_ledger = CostLedger(), CostLedger()
-    got = mc_euler(p, BaselineParams(K, M), root(9).spawn(2), ledger)
-    want = euler_scalar(p, BaselineParams(K, M), root(9).spawn(2), want_ledger)
+    got = mc_euler(p, K, M, root(9).spawn(2), ledger)
+    want = euler_scalar(p, SimpleNamespace(steps=K, samples=M), root(9).spawn(2), want_ledger)
     assert np.array_equal(got, want)
     assert ledger == want_ledger
 
@@ -99,13 +120,13 @@ def test_one_lane_matches_lane_in_batch(name):
     p = named_problem(name)
     lanes = np.arange(1, 41)
     for K, M in [(3, 100), (2, 300), (1, 4100), (1, 5000)]:
-        params = BaselineParams(K, M)
-        wide = mc_euler_batch(p, params, StreamBundle.root_children(SEED, lanes))
+        wide = mc_euler_batch(p, K, M, StreamBundle.root_children(SEED, lanes), CostLedger())
         for i, j in enumerate(lanes):
-            one = mc_euler_batch(p, params, StreamBundle.root_children(SEED, [j]))
+            one = mc_euler_batch(p, K, M, StreamBundle.root_children(SEED, [j]), CostLedger())
             assert np.array_equal(one[0], wide[i])
             if M <= 4096:
-                assert np.array_equal(one[0], euler_scalar(p, params, root(SEED).spawn(j)))
+                want = euler_scalar(p, SimpleNamespace(steps=K, samples=M), root(SEED).spawn(j))
+                assert np.array_equal(one[0], want)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64])
@@ -116,12 +137,11 @@ def test_draw_budget_never_changes_bits(monkeypatch, name, budget):
     # the oracle's bits.
     monkeypatch.setattr(mlp, "_DRAW_BLOCK", budget)
     p = named_problem(name)
-    params = BaselineParams(2, 300)
     lanes = np.arange(1, 6)
-    wide = mc_euler_batch(p, params, StreamBundle.root_children(SEED, lanes))
+    wide = mc_euler_batch(p, 2, 300, StreamBundle.root_children(SEED, lanes), CostLedger())
     for i, j in enumerate(lanes):
-        one = mc_euler_batch(p, params, StreamBundle.root_children(SEED, [j]))
-        want = euler_scalar(p, params, root(SEED).spawn(int(j)))
+        one = mc_euler_batch(p, 2, 300, StreamBundle.root_children(SEED, [j]), CostLedger())
+        want = euler_scalar(p, SimpleNamespace(steps=2, samples=300), root(SEED).spawn(int(j)))
         for got in (one[0], wide[i]):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -134,7 +154,7 @@ def test_worker_thread_gives_the_same_bits(name):
     p = named_problem(name)
 
     def run():
-        return mc_euler_batch(p, BaselineParams(2, 5000), StreamBundle.root_children(SEED, np.arange(1, 41)))
+        return mc_euler_batch(p, 2, 5000, StreamBundle.root_children(SEED, np.arange(1, 41)), CostLedger())
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         assert np.array_equal(pool.submit(run).result(timeout=60), run())
@@ -142,12 +162,7 @@ def test_worker_thread_gives_the_same_bits(name):
 
 def test_batch_ledger_scales_with_lanes():
     ledger = CostLedger()
-    mc_euler_batch(
-        builtin("pure_noise"),
-        BaselineParams(4, 2),
-        StreamBundle.root_children(1, [1, 2, 3]),
-        ledger,
-    )
+    mc_euler_batch(builtin("pure_noise"), 4, 2, StreamBundle.root_children(1, [1, 2, 3]), ledger)
     assert ledger.z_draws == 4 * 2 * 3
 
 
@@ -156,7 +171,7 @@ def test_large_run_converges_to_closed_form():
     # within 2e-2 of X(1); here the discretisation bias is ~5e-5 and the
     # noise is ~7e-5, so the tolerance has orders of magnitude of slack.
     p = builtin("linear_meanfield")
-    v = mc_euler_batch(p, BaselineParams(10**4, 10**4), StreamBundle.root_children(1, [1]))
+    v = mc_euler_batch(p, 10**4, 10**4, StreamBundle.root_children(1, [1]), CostLedger())
     assert abs(v[0, 0] - X_INF) <= 2e-2
 
 

@@ -12,7 +12,6 @@ import scipy.stats
 from mlpicard import mlp, rng
 from mlpicard.mlp import (
     CostLedger,
-    MlpParams,
     mlp_estimate,
     mlp_estimate_batch,
     rv_bound,
@@ -71,8 +70,8 @@ def test_rv_validation():
         lambda v: rv_exact(v, 2),
         lambda v: rv_exact(2, v),
         lambda v: rv_bound(v, 2),
-        lambda v: MlpParams(v, 2, 1.0),
-        lambda v: MlpParams(2, v, 1.0),
+        lambda v: mlp_estimate(_refusing_problem(), v, 2, 1.0, root(1), CostLedger()),
+        lambda v: mlp_estimate(_refusing_problem(), 2, v, 1.0, root(1), CostLedger()),
         lambda v: mlp_estimate_batch(
             builtin("pure_noise"), v, 2, 1.0, StreamBundle.root_children(1, [1]), CostLedger()
         ),
@@ -88,8 +87,8 @@ def test_numpy_integer_levels_are_accepted():
     assert rv_exact(np.int64(3), np.int32(2)) == rv_exact(3, 2) == 46
     assert isinstance(rv_exact(np.int64(30), np.int64(30)), int)
     p = builtin("linear_meanfield")
-    got = mlp_estimate(p, MlpParams(np.int64(2), np.int64(3), 1.0), root(4), CostLedger())
-    assert np.array_equal(got, mlp_estimate(p, MlpParams(2, 3, 1.0), root(4), CostLedger()))
+    got = mlp_estimate(p, np.int64(2), np.int64(3), 1.0, root(4), CostLedger())
+    assert np.array_equal(got, mlp_estimate(p, 2, 3, 1.0, root(4), CostLedger()))
 
 
 def _refusing_problem():
@@ -123,7 +122,7 @@ def test_batch_rejects_times_outside_horizon_before_drawing(t):
 @pytest.mark.parametrize("t", [1.5, 5.0])
 def test_scalar_rejects_times_beyond_horizon_before_drawing(t):
     with pytest.raises(ValueError, match="time t"):
-        mlp_estimate(_refusing_problem(), MlpParams(2, 2, t), root(1), CostLedger())
+        mlp_estimate(_refusing_problem(), 2, 2, t, root(1), CostLedger())
 
 
 def test_time_range_error_is_short():
@@ -159,28 +158,25 @@ def test_rv_exact_is_bigint_safe():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        MlpParams(-1, 2, 0.5)
-    with pytest.raises(ValueError):
-        MlpParams(1, 0, 0.5)
-    with pytest.raises(ValueError):
-        MlpParams(1, 2, -0.5)
-    p = builtin("const_drift")
-    with pytest.raises(ValueError):
-        mlp_estimate(p, MlpParams(1, 2, 1.5), root(SEED), CostLedger())
+    # The entry checks its indices and time itself, before any draw.
+    for n, m, t in [(-1, 2, 0.5), (1, 0, 0.5), (1, 2, -0.5), (1, 2, 1.5)]:
+        ledger = CostLedger()
+        with pytest.raises(ValueError):
+            mlp_estimate(_refusing_problem(), n, m, t, root(SEED), ledger)
+        assert ledger == CostLedger()
 
 
 @pytest.mark.parametrize("t,error", [(True, TypeError), ("0.5", TypeError), (None, TypeError), (math.inf, ValueError)])
 def test_params_time_must_be_a_finite_real(t, error):
     with pytest.raises(error, match="time t"):
-        MlpParams(1, 1, t)
+        mlp_estimate(_refusing_problem(), 1, 1, t, root(1), CostLedger())
 
 
 def test_level_zero_returns_xi_without_draws():
     for name in BUILTIN_NAMES:
         p = builtin(name)
         ledger = CostLedger()
-        out = mlp_estimate(p, MlpParams(0, 3, 0.8), root(SEED), ledger)
+        out = mlp_estimate(p, 0, 3, 0.8, root(SEED), ledger)
         assert np.array_equal(out, p.xi)
         assert ledger == CostLedger()
         out[0] = 99.0  # must be a private copy
@@ -189,7 +185,7 @@ def test_level_zero_returns_xi_without_draws():
 
 def test_const_drift_is_averaged_exactly():
     ledger = CostLedger()
-    out = mlp_estimate(builtin("const_drift"), MlpParams(1, 5, 0.7), root(SEED), ledger)
+    out = mlp_estimate(builtin("const_drift"), 1, 5, 0.7, root(SEED), ledger)
     assert out[0] == 0.7
     assert ledger == CostLedger(z_draws=5, uniform_draws=0, f_evals=5)
 
@@ -214,7 +210,7 @@ def _degenerate_constant_problem(c=2.0):
 @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (3, 2)])
 def test_degenerate_z_gives_t_times_c(n, m):
     p = _degenerate_constant_problem(2.0)
-    out = mlp_estimate(p, MlpParams(n, m, 0.6), root(SEED), CostLedger())
+    out = mlp_estimate(p, n, m, 0.6, root(SEED), CostLedger())
     assert out[0] == 0.6 * 2.0
 
 
@@ -250,14 +246,14 @@ def _unrolled_2_2(problem, t, stream):
 @pytest.mark.parametrize("name", ["pure_noise", "linear_meanfield", "sine_meanfield"])
 def test_engine_matches_unrolled_expansion(name):
     p = builtin(name)
-    got = mlp_estimate(p, MlpParams(2, 2, 0.9), root(SEED).spawn(1), CostLedger())
+    got = mlp_estimate(p, 2, 2, 0.9, root(SEED).spawn(1), CostLedger())
     want = _unrolled_2_2(p, 0.9, root(SEED).spawn(1))
     assert np.array_equal(got, want)
 
 
 def test_degenerate_z_matches_unrolled_expansion():
     p = _degenerate_constant_problem(2.0)
-    got = mlp_estimate(p, MlpParams(2, 2, 1.0), root(7), CostLedger())
+    got = mlp_estimate(p, 2, 2, 1.0, root(7), CostLedger())
     want = _unrolled_2_2(p, 1.0, root(7))
     assert np.array_equal(got, want)
     assert got[0] == 2.0
@@ -266,7 +262,7 @@ def test_degenerate_z_matches_unrolled_expansion():
 def test_time_zero_returns_xi_for_every_level():
     p = builtin("linear_meanfield")
     for n in range(4):
-        out = mlp_estimate(p, MlpParams(n, 2, 0.0), root(3), CostLedger())
+        out = mlp_estimate(p, n, 2, 0.0, root(3), CostLedger())
         assert np.array_equal(out, p.xi)
 
 
@@ -278,7 +274,7 @@ def test_cost_law_and_ledger_identity():
     for n in range(6):
         for m in range(1, 4):
             ledger = CostLedger()
-            mlp_estimate(p, MlpParams(n, m, 1.0), root(SEED).spawn(n * 10 + m), ledger)
+            mlp_estimate(p, n, m, 1.0, root(SEED).spawn(n * 10 + m), ledger)
             assert ledger.z_draws == rv_exact(n, m)
             assert ledger.f_evals == ledger.z_draws + ledger.uniform_draws
 
@@ -287,7 +283,7 @@ def test_cost_law_with_stream_consuming_sampler():
     p = builtin("pure_noise")
     for n, m in ((2, 3), (4, 2), (3, 3)):
         ledger = CostLedger()
-        mlp_estimate(p, MlpParams(n, m, 0.5), root(8), ledger)
+        mlp_estimate(p, n, m, 0.5, root(8), ledger)
         assert ledger.z_draws == rv_exact(n, m)
 
 
@@ -305,7 +301,7 @@ def test_determinism_bitwise():
     runs = []
     for _ in range(2):
         ledger = CostLedger()
-        runs.append((mlp_estimate(p, MlpParams(3, 2, 1.0), root(11), ledger), ledger))
+        runs.append((mlp_estimate(p, 3, 2, 1.0, root(11), ledger), ledger))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
 
@@ -370,7 +366,7 @@ def test_scalar_entry_matches_oracle(name, n, m):
     p = named_problem(name)
     for t in (1.0, 0.37):
         ledger, want_ledger = CostLedger(), CostLedger()
-        got = mlp_estimate(p, MlpParams(n, m, t), root(SEED).spawn(3), ledger)
+        got = mlp_estimate(p, n, m, t, root(SEED).spawn(3), ledger)
         want = estimate_scalar(p, n, m, t, root(SEED).spawn(3), want_ledger)
         assert np.array_equal(got, want)
         assert ledger == want_ledger
@@ -583,7 +579,7 @@ def test_linear_meanfield_rmse_matches_quadrature_oracle():
 def test_two_dimensional_problem_end_to_end():
     p = two_dim_problem()
     ledger = CostLedger()
-    out = mlp_estimate(p, MlpParams(3, 2, 1.0), root(SEED), ledger)
+    out = mlp_estimate(p, 3, 2, 1.0, root(SEED), ledger)
     assert out.shape == (2,)
     assert ledger.z_draws == rv_exact(3, 2)
 
@@ -616,10 +612,10 @@ def test_zero_horizon_problem_is_degenerate_not_an_error():
         closed_form=lambda t: np.array([2.5]),
     )
     for n in (0, 1, 3):
-        out = mlp_estimate(p, MlpParams(n, 2, 0.0), root(1), CostLedger())
+        out = mlp_estimate(p, n, 2, 0.0, root(1), CostLedger())
         assert np.array_equal(out, p.xi)
 
-    from mlpicard.baseline import BaselineParams, mc_euler, reference_solve
+    from mlpicard.baseline import mc_euler, reference_solve
 
-    assert np.array_equal(mc_euler(p, BaselineParams(3, 2), root(1)), p.xi)
+    assert np.array_equal(mc_euler(p, 3, 2, root(1), CostLedger()), p.xi)
     assert np.array_equal(reference_solve(p, 0.0), p.xi)

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mlpicard.baseline import BaselineParams, mc_euler, mc_euler_batch, reference_solve
-from mlpicard.mlp import CostLedger, MlpParams, mlp_estimate, mlp_estimate_batch
+from mlpicard.baseline import mc_euler, mc_euler_batch, reference_solve
+from mlpicard.mlp import CostLedger, mlp_estimate, mlp_estimate_batch
 from mlpicard.problems import (
     BUILTIN_NAMES,
     ExpectationOdeProblem,
@@ -216,7 +217,7 @@ def test_scalar_sampler_may_consume_any_number_of_counters(n, m):
     p = _scalar_only(builtin("linear_meanfield"), name="rejection", sample_z=_rejection_sample_z)
     for j in range(1, 6):
         ledger, want_ledger = CostLedger(), CostLedger()
-        got = mlp_estimate(p, MlpParams(n, m, 0.8), root(12345).spawn(j), ledger)
+        got = mlp_estimate(p, n, m, 0.8, root(12345).spawn(j), ledger)
         want = estimate_scalar(p, n, m, 0.8, root(12345).spawn(j), want_ledger)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         assert ledger == want_ledger
@@ -233,12 +234,12 @@ def test_scalar_sampler_may_consume_any_number_of_counters(n, m):
 def test_scalar_sampler_counter_rule_holds_for_euler(K, M):
     p = _scalar_only(builtin("linear_meanfield"), name="rejection", sample_z=_rejection_sample_z)
     for j in range(1, 4):
-        got = mc_euler(p, BaselineParams(K, M), root(12345).spawn(j))
-        want = euler_scalar(p, BaselineParams(K, M), root(12345).spawn(j))
+        got = mc_euler(p, K, M, root(12345).spawn(j), CostLedger())
+        want = euler_scalar(p, SimpleNamespace(steps=K, samples=M), root(12345).spawn(j))
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    got = mc_euler_batch(p, BaselineParams(K, M), StreamBundle.root_children(12345, np.arange(1, 6)))
+    got = mc_euler_batch(p, K, M, StreamBundle.root_children(12345, np.arange(1, 6)), CostLedger())
     for j in range(1, 6):
-        want = euler_scalar(p, BaselineParams(K, M), root(12345).spawn(j))
+        want = euler_scalar(p, SimpleNamespace(steps=K, samples=M), root(12345).spawn(j))
         assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
 
 
@@ -253,8 +254,8 @@ def test_batch_entries_serve_problems_without_batch_hooks(scheme):
         got = mlp_estimate_batch(p, 2, 30, 0.8, bundle, ledger)
         run = lambda stream: estimate_scalar(p, 2, 30, 0.8, stream, want_ledger)
     else:
-        got = mc_euler_batch(p, BaselineParams(2, 5000), bundle, ledger)
-        run = lambda stream: euler_scalar(p, BaselineParams(2, 5000), stream, want_ledger)
+        got = mc_euler_batch(p, 2, 5000, bundle, ledger)
+        run = lambda stream: euler_scalar(p, SimpleNamespace(steps=2, samples=5000), stream, want_ledger)
     for j in range(1, 6):
         want = run(root(12345).spawn(j))
         assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
@@ -287,6 +288,12 @@ def test_check_problem_allows_non_finite_drifts():
         ({"sample_z_batch": lambda bundle: 1.0 + StreamBundle(bundle.keys).next_gaussian()}, "counter 1"),
         # a drift that drops the dim axis
         ({"drift_batch": lambda x, z: np.asarray(z) - x[0]}, r"drift_batch.*shape \(3,\)"),
+        # a drift right at xi on one lane axis, but misaligned on two
+        ({"drift_batch": lambda x, z: np.asarray(z)[:, None] - x}, r"drift_batch.*lanes \(2, 3\).*shape \(2, 3, 3\)"),
+        # a drift that raises on two lane axes
+        ({"drift_batch": lambda x, z: np.asarray(z).reshape(-1, 1) - x}, r"drift_batch on lanes \(2, 3\) raised"),
+        # a drift that is right at xi only
+        ({"drift_batch": lambda x, z: np.asarray(z)[..., None] - 2 * x}, "sample_z_batch and drift_batch on lanes"),
     ],
 )
 def test_register_problem_rejects_inconsistent_batch_hooks(changes, hook):

@@ -223,13 +223,18 @@ def test_bundle_matches_scalar_streams():
 
 
 def test_bundle_spawn_block_layout():
+    # The node blocks of the estimator: a leading axis of child indices.
     bundle = StreamBundle.root_children(3, [5, 6])
-    block = bundle.spawn_block([1, 2, 3])
+    block = rng._spawn_block(bundle, np.array([1, 2, 3]))
     assert block.shape == (3, 2)
     u = block.next_uniform()
     for i, k in enumerate((1, 2, 3)):
         for j, lane in enumerate((5, 6)):
             assert u[i, j] == root(3).spawn(lane).spawn(k).next_uniform()
+    # root_children keeps the shape of its indices, here two lane axes.
+    grid = StreamBundle.root_children(3, [[5, 6], [7, 8]])
+    assert grid.shape == (2, 2)
+    assert np.array_equal(grid.keys[0], bundle.keys)
 
 
 def test_returned_arrays_never_share_the_scratch():
@@ -244,8 +249,8 @@ def test_returned_arrays_never_share_the_scratch():
             bundle.next_gaussian(),
             bundle.next_uniform(),
             bundle.spawn(2).keys,
-            bundle.spawn_block(np.arange(1, 9)).keys,
-            bundle.spawn_block(np.arange(1, 9)).next_gaussian(),
+            rng._spawn_block(bundle, np.arange(1, 9)).keys,
+            rng._spawn_block(bundle, np.arange(1, 9)).next_gaussian(),
             StreamBundle.root_children(7, np.arange(1, 301)).keys,
             stream.uniforms(500),
             stream.gaussians(500),
@@ -288,12 +293,9 @@ def test_bundle_indices_are_checked_before_any_key(monkeypatch, indices, error):
     def refuse(*args, **kwargs):
         raise AssertionError("a key was derived before the indices were checked")
 
-    bundle = StreamBundle.root_children(3, [5, 6])
     monkeypatch.setattr(rng, "_child_keys_np", refuse)
     with pytest.raises(error):
         StreamBundle.root_children(3, indices)
-    with pytest.raises(error):
-        bundle.spawn_block(indices)
 
 
 def test_bundle_indices_accept_integer_sequences_and_arrays():
