@@ -16,14 +16,14 @@ is increasing in m up to (1+2LT)^2 and decreasing afterwards (compare the
 sign of d/dm log: log(1+2LT) - log(m)/2), so a finite scan up to that
 threshold suffices.
 
-``rmse_experiment`` measures empirical root-mean-square errors against the
-deterministic reference solution, so the only statistical noise in a row
-is the estimator's own.  Replication j always runs on the stream
-``root(seed).spawn(j)``; results are therefore reproducible bit for bit
-for a fixed seed, independent of how replications are chunked across
-worker threads.  Wall-clock times are kept on the in-memory report but
-never written to the CSV/JSON artifacts, which must be byte-identical
-across reruns.
+``rmse_experiment`` measures empirical root-mean-square errors at the
+horizon against the deterministic reference solution, so the only
+statistical noise in a row is the estimator's own.  Replication j always
+runs on the stream ``root(seed).spawn(j)``; results are therefore
+reproducible bit for bit for a fixed seed, independent of how
+replications are chunked across worker threads.  Wall-clock times are
+kept on the in-memory report but never written to the CSV/JSON artifacts,
+which must be byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -325,26 +325,23 @@ def rmse_experiment(
     replications: int,
     seed: int,
     *,
-    eval_time: float | None = None,
     threads: int = 1,
-    reference_step: float = 1e-4,
 ) -> RmseReport:
     """Empirical RMSE, theoretical bound, and exact cost per grid point.
 
     Each grid point runs ``replications`` independent realizations on the
-    streams ``root(seed).spawn(j)``, j = 1..R, and measures the RMSE
-    against the deterministic reference solution at ``eval_time`` (the
-    horizon by default).  A realization containing NaN/inf marks its row
-    invalid (rmse = nan) rather than being dropped.
+    streams ``root(seed).spawn(j)``, j = 1..R, and measures the RMSE at
+    the horizon, where :func:`error_bound` holds and the Euler baseline
+    ends, against the deterministic reference solution there.  A
+    realization containing NaN/inf marks its row invalid (rmse = nan)
+    rather than being dropped.
     """
     grid = _check_grid(grid, _check_scheme(scheme))
     replications, seed = _check_replications(replications), _check_seed(seed)
     threads = _check_int(threads, "threads", 1)
-    t = problem.horizon if eval_time is None else _check_real(eval_time, "eval_time", 0.0, problem.horizon)
-    if scheme == "mc_euler" and t != problem.horizon:
-        raise ValueError("the Euler baseline only evaluates at the horizon")
+    t = problem.horizon
 
-    ref = reference_solve(problem, t, step=reference_step)
+    ref = reference_solve(problem, t)
     inputs = BoundInputs.from_problem(problem)
     # Contiguous chunks of the lanes 1..R; chunking never moves a lane's bits.
     chunks = np.array_split(np.arange(1, replications + 1), min(threads, replications))

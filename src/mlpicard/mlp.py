@@ -166,14 +166,13 @@ def mlp_estimate_batch(
     problem: ExpectationOdeProblem,
     n: int,
     m: int,
-    t,
+    t: float,
     bundle: StreamBundle,
     ledger: CostLedger,
 ) -> np.ndarray:
     """Independent estimator realizations for every lane of ``bundle``.
 
-    ``t`` may be a scalar (broadcast to all lanes) or an array matching the
-    bundle's lane shape, every value in [0, horizon].  Lane ``i`` uses
+    Every lane runs at the one time ``t`` in [0, horizon].  Lane ``i`` uses
     exactly the draws that ``mlp_estimate`` would use on a scalar stream
     with the same (seed, path).  A problem without batch hooks runs its
     scalar hooks lane by lane, and each fresh-draw sum, none above ``m**n``
@@ -186,24 +185,11 @@ def mlp_estimate_batch(
 
 
 def _check_entry(problem, n, m, t, lanes):
-    """Validated ``(n, m, t)`` for an entry, before any draw, with ``t``
-    as a float64 array of the lane shape.  A scalar ``t`` takes the rule of
-    :func:`~mlpicard.rng._check_real`; an array must hold integers or floats."""
+    """Validated ``(n, m, t)`` for an entry, before any draw, with the one
+    real time ``t`` in [0, horizon] filled into a float64 array of the lane
+    shape."""
     n, m = _check_nm(n, m)
-    if np.ndim(t) == 0:
-        t = _check_real(t, "time t", 0.0, problem.horizon)
-    t = np.asarray(t)
-    if t.dtype.kind not in "iuf":
-        raise TypeError(f"time t must hold real numbers, got dtype {t.dtype}")
-    t = np.broadcast_to(t.astype(np.float64, copy=False), lanes)
-    inside = (t >= 0.0) & (t <= problem.horizon)
-    if not np.all(inside):
-        bad = np.extract(~inside, t)
-        raise ValueError(
-            f"time t must lie in [0, {problem.horizon}]; {bad.size} of {t.size} "
-            f"lanes lie outside, the first at t={bad[0]}"
-        )
-    return n, m, t
+    return n, m, np.full(lanes, _check_real(t, "time t", 0.0, problem.horizon))
 
 
 def _estimate(problem, n, m, t, bundle, ledger, chunk):

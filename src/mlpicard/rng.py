@@ -389,7 +389,8 @@ def _lane_bundle(stream: SplittableStream) -> "StreamBundle":
 class StreamBundle:
     """Many streams advanced in lockstep (one shared counter).
 
-    ``keys`` is a uint64 array of any shape; element ``i`` of every draw is
+    ``keys`` is an integer array of any shape, kept as uint64 (int64 keys
+    by their two's-complement bits); element ``i`` of every draw is
     bit-identical to the corresponding :class:`SplittableStream` draw for
     that key's (seed, path).  Used by the vectorised estimators, where all
     lanes consume draws in the same pattern.
@@ -398,7 +399,10 @@ class StreamBundle:
     __slots__ = ("keys", "counter")
 
     def __init__(self, keys: np.ndarray, counter: int = 0):
-        self.keys = np.asarray(keys, dtype=np.uint64)
+        keys = np.asarray(keys)
+        if keys.dtype.kind not in "iu":
+            raise TypeError(f"stream keys must be integers, got dtype {keys.dtype}")
+        self.keys = keys.astype(np.uint64, copy=False)
         self.counter = _check_counter(counter)
 
     @classmethod

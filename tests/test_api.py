@@ -1,12 +1,21 @@
-"""The public API: the names the package exports and the estimator entries'
-one signature."""
+"""The public API: the names the package exports, the estimator entries'
+one signature and the RMSE harness's parameters."""
 
 import inspect
 
 import pytest
 
 import mlpicard
-from mlpicard import StreamBundle, builtin, mc_euler, mc_euler_batch, mlp_estimate, mlp_estimate_batch, root
+from mlpicard import (
+    StreamBundle,
+    builtin,
+    mc_euler,
+    mc_euler_batch,
+    mlp_estimate,
+    mlp_estimate_batch,
+    rmse_experiment,
+    root,
+)
 
 # Adding or removing a public name is a deliberate edit of this list.
 PUBLIC_NAMES = [
@@ -52,6 +61,9 @@ ENTRY_PARAMETERS = {
     mc_euler_batch: ["problem", "steps", "samples", "bundle", "ledger"],
 }
 
+# RMSE is measured at the horizon; only the thread count has a default.
+RMSE_EXPERIMENT_PARAMETERS = ["problem", "scheme", "grid", "replications", "seed", "threads"]
+
 
 def test_public_names_are_pinned():
     assert sorted(mlpicard.__all__) == PUBLIC_NAMES
@@ -64,6 +76,13 @@ def test_entries_share_one_signature(entry):
     parameters = inspect.signature(entry).parameters.values()
     assert [p.name for p in parameters] == ENTRY_PARAMETERS[entry]
     assert all(p.default is inspect.Parameter.empty for p in parameters)
+
+
+def test_rmse_experiment_parameters_are_pinned():
+    parameters = inspect.signature(rmse_experiment).parameters
+    assert list(parameters) == RMSE_EXPERIMENT_PARAMETERS
+    assert {n: p.default for n, p in parameters.items() if p.default is not inspect.Parameter.empty} == {"threads": 1}
+    assert parameters["threads"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 @pytest.mark.parametrize(

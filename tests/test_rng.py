@@ -309,6 +309,21 @@ def test_bundle_indices_accept_integer_sequences_and_arrays():
         root(3).spawn(True)
 
 
+@pytest.mark.parametrize("keys", [np.array([0.5, 1.7]), [0.5], np.array([True]), [True], np.array([1], dtype=object)])
+def test_bundle_keys_must_be_integers(keys):
+    # [0.5, 1.7] used to draw as the keys [0, 1], and [True] as key 1.
+    with pytest.raises(TypeError, match="keys"):
+        StreamBundle(keys)
+
+
+def test_int64_bundle_keys_keep_their_bits():
+    keys = StreamBundle.root_children(3, np.arange(1, 9)).keys
+    signed = keys.view(np.int64)
+    assert (signed < 0).any()
+    assert np.array_equal(StreamBundle(signed).keys, keys)
+    assert np.array_equal(StreamBundle(list(signed)).keys, keys)
+
+
 @pytest.mark.parametrize("counter,error", [(-3, ValueError), (True, TypeError), (1.5, TypeError), (1 << 64, ValueError)])
 def test_stream_and_bundle_counters_are_checked(counter, error):
     # At counter -3, next_uniform() wrapped to counter 2**64 - 3 while the
