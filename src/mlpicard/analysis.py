@@ -11,10 +11,10 @@ horizon.  With the two indices coupled (m = n) the bound eventually decays
 faster than any polynomial, which is what drives the iteration schedule:
 ``n_epsilon`` returns the smallest n whose whole coupled tail
 sup_{m >= n} C e^{m/2} (1+2LT)^m m^{-m/2} sits below a target eps, where
-C = T sqrt(M2) e^{LT}.  The tail supremum is computed exactly: the summand
-is increasing in m up to (1+2LT)^2 and decreasing afterwards (compare the
-sign of d/dm log: log(1+2LT) - log(m)/2), so a finite scan up to that
-threshold suffices.
+C = T sqrt(M2) e^{LT}.  The tail supremum is computed exactly: the log of
+the summand is concave in m (d/dm log = log(1+2LT) - log(m)/2 decreases),
+so its peak is at (1+2LT)^2 and the supremum over m >= n is the summand at
+one of the two integers nearest that peak, or at n past it.
 
 ``rmse_experiment`` measures empirical root-mean-square errors at the
 horizon against the deterministic reference solution, so the only
@@ -143,24 +143,15 @@ def error_bound(inputs: BoundInputs, n: int, m: int) -> float:
 
 
 def tail_bound_max(inputs: BoundInputs, n: int) -> float:
-    """sup over integer m >= n of C e^{m/2} (1+2LT)^m m^{-m/2}.
+    """sup over integer m >= n of the coupled bound ``error_bound(inputs, m, m)``.
 
-    Exact by monotonicity: the summand decreases once m >= (1+2LT)^2, so
-    the supremum is attained on the finite scan [n, ceil((1+2LT)^2) + 1].
+    Exact by concavity: the log of the coupled bound is concave in m with
+    its peak at (1+2LT)^2, so the supremum is the larger of the bounds at
+    max(n, floor((1+2LT)^2)) and max(n, ceil((1+2LT)^2)).
     """
     n = _check_int(n, "n", 1)
-    if inputs.big_c == 0.0:
-        return 0.0
-    log_a = math.log1p(2.0 * inputs.lipschitz * inputs.horizon)
-    m_hi = max(n, math.ceil(math.exp(2.0 * log_a)) + 1)
-    log_c = math.log(inputs.big_c)
-    best = -math.inf
-    for m in range(n, m_hi + 1):
-        best = max(best, log_c + 0.5 * m + m * log_a - 0.5 * m * math.log(m))
-    try:
-        return math.exp(best)
-    except OverflowError:
-        return math.inf
+    peak = (1.0 + 2.0 * inputs.lipschitz * inputs.horizon) ** 2
+    return max(error_bound(inputs, k, k) for k in (max(n, math.floor(peak)), max(n, math.ceil(peak))))
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _check_output_dir(path: str) -> None:
-    """Fail before any compute when ``path`` cannot be written."""
+    """Fail before any compute when ``path`` cannot be written as a file."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} names an output directory or nothing, not a file")
     directory = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
         raise ConfigError(f"output directory {directory} does not exist or is not writable")

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -117,7 +117,6 @@ def _check_nm(n, m, n_min: int = 0) -> tuple[int, int]:
     return _check_int(n, "level n", n_min), _check_int(m, "base m", 1)
 
 
-@lru_cache(maxsize=None, typed=True)
 def rv_exact(n: int, m: int) -> int:
     """Exact number of Z draws consumed by one level-``n`` realization.
 
@@ -125,17 +124,17 @@ def rv_exact(n: int, m: int) -> int:
 
         rv(n, m) = m**n + sum_{l=1}^{n-1} m**(n-l) * (1 + rv(l, m) + rv(l-1, m)).
 
-    Computed with Python's arbitrary-precision integers, so there is no
-    overflow regime; results are exact for any (n, m).  The cache is typed,
-    so ``True`` never hits the entry of ``1``.
+    Computed in one forward pass over the levels: with S_n the sum above,
+    S_1 = 0 and S_{k+1} = m * (S_k + 1 + rv(k, m) + rv(k-1, m)).  Python's
+    arbitrary-precision integers leave no overflow regime; results are
+    exact for any (n, m).
     """
     n, m = _check_nm(n, m)
-    if n == 0:
-        return 0
-    total = m**n
-    for l in range(1, n):
-        total += m ** (n - l) * (1 + rv_exact(l, m) + rv_exact(l - 1, m))
-    return total
+    rv_prev, rv, tail = 0, 0, 0  # rv(k-1, m), rv(k, m) and S_{k+1}, from k = 0
+    for k in range(1, n + 1):
+        rv_prev, rv = rv, m**k + tail
+        tail = m * (tail + 1 + rv + rv_prev)
+    return rv
 
 
 def rv_bound(n: int, m: int) -> int:

@@ -33,7 +33,8 @@ engine call per bundle, and runs the scalar hooks lane by lane,
 counter (``seed`` and ``path`` are ``None``).  Only the counter on entry
 matters, as an MLP node draws ``r``, then Z, then only spawns, and a
 fresh-draw leaf draws only Z: ``sample_z`` may consume any number of
-counters, different on each lane.
+counters, different on each lane, and may spawn children, which are keyed
+streams too.  A problem sets both batch hooks or neither.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ class ExpectationOdeProblem:
 
     def __post_init__(self):
         _check_int(self.dim, "dim", 1)
+        if (self.sample_z_batch is None) != (self.drift_batch is None):
+            missing = "sample_z_batch" if self.sample_z_batch is None else "drift_batch"
+            raise ValueError(f"problem {self.name!r} sets one batch hook without the other: {missing} is missing")
         _check_bound_constants(self)
         xi = np.asarray(self.xi, dtype=np.float64)
         if xi.shape != (self.dim,):
@@ -88,7 +92,7 @@ class ExpectationOdeProblem:
 
     @property
     def has_batch(self) -> bool:
-        return self.sample_z_batch is not None and self.drift_batch is not None
+        return self.sample_z_batch is not None  # and so drift_batch (see __post_init__)
 
 
 def _check_bound_constants(obj) -> None:

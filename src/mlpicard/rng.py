@@ -311,12 +311,13 @@ class SplittableStream:
         """Child stream with path ``self.path + (index,)`` and counter 0.
 
         Depends only on (seed, path, index); the parent's counter and path
-        are left untouched, and repeated calls return equal streams.
+        are left untouched, and repeated calls return equal streams.  The
+        child of a stream known only by its key has path ``None`` too.
         """
         index = _check_index(index)
         child = object.__new__(SplittableStream)
         child.seed = self.seed
-        child.path = self.path + (index,)
+        child.path = None if self.path is None else self.path + (index,)
         child.counter = 0
         child._key = _child_key(self._key, index)
         return child
@@ -375,7 +376,8 @@ def root(seed: int) -> SplittableStream:
 
 
 def _keyed_stream(key: int, counter: int) -> SplittableStream:
-    """The stream of ``key`` at ``counter``; its seed and path are ``None``."""
+    """The stream of ``key`` at ``counter``; its seed and path are ``None``,
+    and so are those of its children."""
     stream = object.__new__(SplittableStream)
     stream.seed, stream.path, stream.counter, stream._key = None, None, counter, key
     return stream

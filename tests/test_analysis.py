@@ -90,15 +90,17 @@ def test_error_bound_validation():
 
 
 def test_tail_bound_is_exact_supremum():
-    # Brute-force comparison over a long scan window.
-    inputs = BoundInputs(1.0, 1.0, 2.0)
-    c = inputs.big_c
-    for n in (1, 5, 9, 20, 40):
-        brute = max(
-            c * math.exp(0.5 * m + m * math.log(3.0) - 0.5 * m * math.log(m))
-            for m in range(n, n + 400)
-        )
-        assert tail_bound_max(inputs, n) == pytest.approx(brute, rel=1e-12)
+    # Brute-force comparison over a long scan window, which holds the peak
+    # at (1 + 2L)^2 = 9 or 121.
+    for lipschitz in (1.0, 5.0):
+        inputs = BoundInputs(1.0, lipschitz, 2.0)
+        c, a = inputs.big_c, 1.0 + 2.0 * lipschitz
+        for n in (1, 5, 9, 20, 40, 121, 130):
+            brute = max(
+                c * math.exp(0.5 * m + m * math.log(a) - 0.5 * m * math.log(m))
+                for m in range(n, n + 400)
+            )
+            assert tail_bound_max(inputs, n) == pytest.approx(brute, rel=1e-12)
 
 
 def test_n_epsilon_small_constant():
@@ -141,6 +143,11 @@ def test_n_epsilon_total_cost_and_offset():
     shifted = n_epsilon(inputs, 0.5, mathfrak_n=2)
     assert shifted.n_epsilon == 4
     assert shifted.total_cost == sum(rv_exact(j, j) for j in range(1, 7))
+
+
+def test_n_epsilon_at_a_large_lipschitz_constant():
+    # L T = 5 puts the tail's peak at m = 121 and n_eps in the hundreds.
+    assert n_epsilon(BoundInputs(1.0, 5.0, 1.0), 0.5).n_epsilon == 341
 
 
 def test_n_epsilon_validation():

@@ -279,15 +279,18 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "schedule"])
 def test_missing_output_directory_exits_2_before_computing(tmp_path, capsys, command):
+    # A file in a missing directory, an empty path, and an existing directory.
     cfg = tmp_path / "cfg.json"
-    _write_config(
-        cfg,
-        problem="linear_meanfield",
-        grid=[[6, 6]],  # minutes of work if it ran
-        replications=1000,
-        epsilon_list=[0.5],
-        output_path=str(tmp_path / "missing" / "out.csv"),
-    )
-    assert main([command, "--config", str(cfg)]) == 2
-    assert "output directory" in capsys.readouterr().err
-    assert not (tmp_path / "missing").exists()
+    for output in (str(tmp_path / "missing" / "out.csv"), "", str(tmp_path)):
+        _write_config(
+            cfg,
+            problem="linear_meanfield",
+            grid=[[6, 6]],  # minutes of work if it ran
+            replications=1000,
+            epsilon_list=[0.5],
+            output_path=output,
+        )
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "output directory" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -46,6 +46,16 @@ def test_rv_exact_hand_values():
         assert rv_exact(1, m) == m
 
 
+def test_rv_exact_equals_the_recursion():
+    # The paper's recursion as written, every level re-summed over all the
+    # lower ones (plain recursion would take 3^20 calls at n = 20).
+    for m in range(1, 21):
+        rv = [0]
+        for n in range(1, 21):
+            rv.append(m**n + sum(m ** (n - l) * (1 + rv[l] + rv[l - 1]) for l in range(1, n)))
+        assert [rv_exact(n, m) for n in range(21)] == rv
+
+
 def test_rv_bound_values_and_domination():
     assert rv_bound(1, 1) == 3
     assert rv_bound(2, 2) == 36 and rv_exact(2, 2) == 10 <= 36

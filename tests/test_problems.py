@@ -230,6 +230,18 @@ def test_scalar_sampler_may_consume_any_number_of_counters(n, m):
     assert ledger == want_ledger
 
 
+def test_scalar_sampler_may_spawn():
+    # A sampler may draw Z from a child of its stream; without batch hooks
+    # that stream is rebuilt from the lane's key, and so is its child.
+    p = _scalar_only(builtin("linear_meanfield"), name="spawning", sample_z=lambda s: s.spawn(7).next_gaussian())
+    ledger, want_ledger = CostLedger(), CostLedger()
+    got = mlp_estimate_batch(p, 2, 3, 0.8, StreamBundle.root_children(12345, np.arange(1, 4)), ledger)
+    for j in range(1, 4):
+        want = estimate_scalar(p, 2, 3, 0.8, root(12345).spawn(j), want_ledger)
+        assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
+    assert ledger == want_ledger
+
+
 @pytest.mark.parametrize("K,M", [(3, 100), (2, 5000)])
 def test_scalar_sampler_counter_rule_holds_for_euler(K, M):
     p = _scalar_only(builtin("linear_meanfield"), name="rejection", sample_z=_rejection_sample_z)
@@ -260,6 +272,14 @@ def test_batch_entries_serve_problems_without_batch_hooks(scheme):
         want = run(root(12345).spawn(j))
         assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
     assert ledger == want_ledger
+
+
+@pytest.mark.parametrize("missing", ["sample_z_batch", "drift_batch"])
+def test_batch_hooks_come_both_or_neither(missing):
+    # One hook alone would leave the engines on the lane-by-lane path and
+    # check_problem with nothing to check, so the problem is refused.
+    with pytest.raises(ValueError, match=f"{missing} is missing"):
+        dataclasses.replace(builtin("linear_meanfield"), **{missing: None})
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
