@@ -47,7 +47,6 @@ from .rng import GAUSSIAN_ALGORITHM, RNG_ALGORITHM, StreamBundle, _check_int, _c
 
 __all__ = [
     "BoundInputs",
-    "CSV_HEADER",
     "InsufficientDataError",
     "RmseReport",
     "RmseRow",
@@ -111,12 +110,15 @@ class BoundInputs:
 
     @property
     def big_c(self) -> float:
-        """C = T sqrt(M2) e^{LT}, the leading constant of every bound."""
-        return (
-            self.horizon
-            * math.sqrt(self.f_xi_second_moment)
-            * math.exp(self.lipschitz * self.horizon)
-        )
+        """C = T sqrt(M2) e^{LT}, the leading constant of every bound: 0 when
+        T sqrt(M2) is, and +inf where e^{LT} overflows."""
+        lead = self.horizon * math.sqrt(self.f_xi_second_moment)
+        if lead == 0.0:
+            return 0.0
+        try:
+            return lead * math.exp(self.lipschitz * self.horizon)
+        except OverflowError:
+            return math.inf
 
 
 def error_bound(inputs: BoundInputs, n: int, m: int) -> float:
@@ -136,6 +138,9 @@ def error_bound(inputs: BoundInputs, n: int, m: int) -> float:
         + 0.5 * m
         - 0.5 * n * math.log(m)
     )
+    if math.isnan(logv):  # inf - inf: both n terms overflow, but not their difference
+        log_ratio = math.log1p(2.0 * inputs.lipschitz * inputs.horizon) - 0.5 * math.log(m)
+        logv = math.log(lead) + inputs.lipschitz * inputs.horizon + 0.5 * m + n * log_ratio
     try:
         return math.exp(logv)
     except OverflowError:
@@ -147,11 +152,16 @@ def tail_bound_max(inputs: BoundInputs, n: int) -> float:
 
     Exact by concavity: the log of the coupled bound is concave in m with
     its peak at (1+2LT)^2, so the supremum is the larger of the bounds at
-    max(n, floor((1+2LT)^2)) and max(n, ceil((1+2LT)^2)).
+    max(n, floor((1+2LT)^2)) and max(n, ceil((1+2LT)^2)).  A peak past the
+    largest float gives +inf, the bound there, C e^{(1+2LT)^2/2}, or 0 if C is.
     """
     n = _check_int(n, "n", 1)
-    peak = (1.0 + 2.0 * inputs.lipschitz * inputs.horizon) ** 2
-    return max(error_bound(inputs, k, k) for k in (max(n, math.floor(peak)), max(n, math.ceil(peak))))
+    try:
+        peak = (1.0 + 2.0 * inputs.lipschitz * inputs.horizon) ** 2
+        ks = (max(n, math.floor(peak)), max(n, math.ceil(peak)))
+    except OverflowError:
+        return math.inf if inputs.big_c > 0.0 else 0.0
+    return max(error_bound(inputs, k, k) for k in ks)
 
 
 @dataclass(frozen=True)
@@ -225,22 +235,9 @@ class RmseReport:
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        r.scheme,
-                        str(r.n),
-                        str(r.m),
-                        str(r.replications),
-                        repr(r.rmse),
-                        "" if r.bound is None else repr(r.bound),
-                        str(r.rv),
-                        "" if r.rv_bound is None else str(r.rv_bound),
-                        "",  # wall_ms: measured, but artifacts stay deterministic
-                        str(self.seed),
-                    )
-                )
-            )
+            # wall_ms is measured, but artifacts stay deterministic: its cell is empty.
+            cells = (r.scheme, r.n, r.m, r.replications, r.rmse, r.bound, r.rv, r.rv_bound, None, self.seed)
+            lines.append(",".join("" if v is None else str(v) for v in cells))
         return "\n".join(lines) + "\n"
 
     def json_doc(self) -> dict:
@@ -272,11 +269,18 @@ class RmseReport:
         }
 
     def json_text(self) -> str:
-        return json.dumps(self.json_doc(), indent=2, allow_nan=False) + "\n"
+        return json.dumps(self.json_doc(), indent=2, allow_nan=False, default=_json_scalar) + "\n"
 
     def write(self, path: str, fmt: str = "csv") -> None:
         _check_format(fmt)
         _atomic_write_text(path, self.json_text() if fmt == "json" else self.csv_text())
+
+
+def _json_scalar(value):
+    """A numpy scalar as the Python number it holds; nothing else is JSON."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _finite_or_none(value: float | None) -> float | None:

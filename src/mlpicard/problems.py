@@ -51,7 +51,6 @@ __all__ = [
     "ExpectationOdeProblem",
     "UnknownProblemError",
     "builtin",
-    "check_problem",
     "problem_names",
     "register_problem",
 ]
@@ -286,7 +285,6 @@ def _sine_meanfield() -> ExpectationOdeProblem:
     )
 
 
-BUILTIN_NAMES = ("const_drift", "linear_meanfield", "pure_noise", "sine_meanfield")
-
 for _factory in (_pure_noise, _const_drift, _linear_meanfield, _sine_meanfield):
     register_problem(_factory())
+BUILTIN_NAMES = tuple(problem_names())  # the problems of the factories above, sorted

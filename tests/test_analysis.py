@@ -25,6 +25,7 @@ from mlpicard.analysis import (
     tail_bound_max,
 )
 from mlpicard.baseline import NoReferenceError
+from mlpicard.cli import ExperimentConfig
 from mlpicard.mlp import CostLedger, rv_exact
 from mlpicard.problems import ExpectationOdeProblem, builtin
 
@@ -75,6 +76,33 @@ def test_error_bound_monotonicity_ratio():
 def test_error_bound_overflows_to_inf():
     big = BoundInputs(50.0, 50.0, 4.0)
     assert error_bound(big, 10**6, 1) == math.inf
+
+
+@pytest.mark.parametrize(
+    "lipschitz",
+    [
+        1e160,  # (1 + 2LT)^2 passes the largest float
+        1e153,  # the peak k ~ 4e306 is a float, but k log(1+2LT) and k log(k) / 2 are not
+    ],
+)
+def test_tail_bound_overflows_to_inf(lipschitz):
+    # The bound at the peak is C e^{(1+2LT)^2 / 2}, and C > 0 here.
+    assert tail_bound_max(BoundInputs(1.0, lipschitz, 1.0), 1) == math.inf
+    assert tail_bound_max(BoundInputs(1.0, lipschitz, 0.0), 1) == 0.0  # C = 0
+
+
+def test_error_bound_difference_of_overflowing_logs():
+    # At n = m = 1e308 > (1 + 2e153)^2 e both log terms overflow, but the
+    # bound, C e^{n/2} ((1+2LT) / sqrt(n))^n, underflows to 0.
+    assert error_bound(BoundInputs(1.0, 1e153, 1.0), 10**308, 10**308) == 0.0
+
+
+def test_big_c_overflows_to_inf():
+    assert BoundInputs(1.0, 800.0, 1.0).big_c == math.inf
+    assert BoundInputs(1.0, 800.0, 0.0).big_c == 0.0  # T sqrt(M2) = 0
+    for inputs in (UNIT, BoundInputs(2.0, 3.0, 5.0), BoundInputs(0.5, 700.0, 1e-3)):
+        want = inputs.horizon * math.sqrt(inputs.f_xi_second_moment) * math.exp(inputs.lipschitz * inputs.horizon)
+        assert inputs.big_c == want
 
 
 def test_error_bound_validation():
@@ -483,6 +511,40 @@ def test_report_serialization(tmp_path):
 
     with pytest.raises(ValueError):
         rep.write(str(tmp_path / "x"), "xml")
+
+
+def test_numpy_scalar_cells_serialize_as_python_numbers():
+    rep = rmse_experiment(builtin("linear_meanfield"), "mlp", [(1, 2), (2, 2)], 3, SEED)
+    rep.config = {"problem": "linear_meanfield", "seed": SEED}
+    rep.rows.append(dataclasses.replace(rep.rows[-1], rmse=0.25, bound=None, rv_bound=None))
+    cast = {"n": np.int64, "m": np.int64, "replications": np.int64, "rmse": np.float64, "bound": np.float64,
+            "rv": np.int64, "rv_bound": np.int64, "cum_z_draws": np.int64, "valid": np.bool_}
+    numpy_rows = [
+        dataclasses.replace(r, **{k: f(getattr(r, k)) for k, f in cast.items() if getattr(r, k) is not None})
+        for r in rep.rows
+    ]
+    numpy_rep = dataclasses.replace(rep, rows=numpy_rows, seed=np.int64(SEED))
+    assert numpy_rep.csv_text() == rep.csv_text()
+    assert numpy_rep.json_text() == rep.json_text()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dataclasses.replace(rep, config={"x": object()}).json_text()
+
+
+# SHA-256 of the JSON bytes with the config block as `run` fills it, as
+# written before every CSV and JSON cell went through one rule.
+JSON_SHA256 = {
+    ("mlp", ((2, 3), (3, 2))): "67e9290db22120b8a9d174a4796acb3e07c27ec32c1b503d6d2ec5c9cd138140",
+    ("mc_euler", ((3, 5), (6, 10))): "d7caa088e729d00a60d7640853f97fb681c10108804fa27ff1e5e63854ce50f2",
+}
+
+
+@pytest.mark.parametrize("scheme,grid", list(JSON_SHA256))
+def test_json_bytes_are_pinned(scheme, grid):
+    raw = {"problem": "linear_meanfield", "seed": SEED, "scheme": scheme, "grid": [list(p) for p in grid],
+           "replications": 4, "output_path": "out.json", "format": "json"}
+    rep = rmse_experiment(builtin("linear_meanfield"), scheme, list(grid), 4, SEED)
+    rep.config = ExperimentConfig.from_dict(raw).to_dict()
+    assert hashlib.sha256(rep.json_text().encode()).hexdigest() == JSON_SHA256[scheme, grid]
 
 
 def test_artifacts_get_the_mode_of_a_plain_create(tmp_path):

@@ -6,6 +6,7 @@ import inspect
 import pytest
 
 import mlpicard
+from mlpicard import analysis, baseline, mlp, problems, rng
 from mlpicard import (
     StreamBundle,
     builtin,
@@ -69,6 +70,15 @@ def test_public_names_are_pinned():
     assert sorted(mlpicard.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(mlpicard, name), name
+
+
+def test_public_names_are_the_module_lists():
+    modules = (analysis, baseline, mlp, problems, rng)
+    assert mlpicard.__all__ == ["__version__", *(name for module in modules for name in module.__all__)]
+    assert len(set(mlpicard.__all__)) == len(mlpicard.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(mlpicard, name) is getattr(module, name), name
 
 
 @pytest.mark.parametrize("entry", list(ENTRY_PARAMETERS), ids=lambda f: f.__name__)

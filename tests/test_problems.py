@@ -22,6 +22,10 @@ from mlpicard.rng import StreamBundle, root
 from oracle import PROBLEM_NAMES, estimate_scalar, euler_scalar, named_problem
 
 
+def test_builtin_names_are_pinned():
+    assert BUILTIN_NAMES == ("const_drift", "linear_meanfield", "pure_noise", "sine_meanfield")
+
+
 def test_registry_contents():
     assert tuple(problem_names()) == BUILTIN_NAMES
     for name in BUILTIN_NAMES:
