@@ -125,21 +125,30 @@ def error_bound(inputs: BoundInputs, n: int, m: int) -> float:
     """Root-mean-square error bound for the level-(n, m) estimator at T.
 
     Evaluated in log space so huge (n, L, T) overflow cleanly to +inf
-    instead of raising.
+    instead of raising.  An index past the largest float leaves the
+    exponent q*s + O(1), with q = max(n, m) and s = n/q * (log(1+2LT) -
+    log(m)/2) + m/(2q), so the sign of s gives the limit, 0 or +inf.
     """
     n, m = _check_nm(n, m)
     lead = inputs.horizon * math.sqrt(inputs.f_xi_second_moment)
     if lead == 0.0:
         return 0.0
-    logv = (
-        math.log(lead)
-        + n * math.log1p(2.0 * inputs.lipschitz * inputs.horizon)
-        + inputs.lipschitz * inputs.horizon
-        + 0.5 * m
-        - 0.5 * n * math.log(m)
-    )
+    log_growth = math.log1p(2.0 * inputs.lipschitz * inputs.horizon)
+    log_ratio = log_growth - 0.5 * math.log(m)
+    try:
+        logv = (
+            math.log(lead)
+            + n * log_growth
+            + inputs.lipschitz * inputs.horizon
+            + 0.5 * m
+            - 0.5 * n * math.log(m)
+        )
+    except OverflowError:  # n or m does not convert to a float
+        if log_ratio == 0.0:  # the n terms cancel at every n
+            return error_bound(inputs, 0, m)
+        q = max(n, m)
+        return math.inf if n / q * log_ratio + 0.5 * (m / q) > 0.0 else 0.0
     if math.isnan(logv):  # inf - inf: both n terms overflow, but not their difference
-        log_ratio = math.log1p(2.0 * inputs.lipschitz * inputs.horizon) - 0.5 * math.log(m)
         logv = math.log(lead) + inputs.lipschitz * inputs.horizon + 0.5 * m + n * log_ratio
     try:
         return math.exp(logv)
@@ -360,7 +369,7 @@ def rmse_experiment(
         if len(chunks) == 1:
             parts = [run(chunks[0])]
         else:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
                 parts = list(pool.map(run, chunks))
         estimates = np.concatenate([p[0] for p in parts], axis=0)
         ledger = CostLedger()
@@ -407,10 +416,10 @@ def fit_power_law(costs: Sequence, rmses: Sequence[float]) -> tuple[float, float
         raise ValueError("costs and rmses must have equal length")
     if len(costs) < 3:
         raise InsufficientDataError("insufficient data: need at least 3 rows")
+    if not all(0.0 < v < math.inf for v in (*costs, *rmses)):
+        raise ValueError("costs and rmses must be positive and finite")
     x = np.array([-math.log(r) for r in rmses])
     y = np.array([math.log(c) for c in costs])
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("costs and rmses must be positive and finite")
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(intercept)
 

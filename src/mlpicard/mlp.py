@@ -124,16 +124,16 @@ def rv_exact(n: int, m: int) -> int:
 
         rv(n, m) = m**n + sum_{l=1}^{n-1} m**(n-l) * (1 + rv(l, m) + rv(l-1, m)).
 
-    Computed in one forward pass over the levels: with S_n the sum above,
-    S_1 = 0 and S_{k+1} = m * (S_k + 1 + rv(k, m) + rv(k-1, m)).  Python's
+    Subtracting m * rv(k, m) from the sum for rv(k+1, m) leaves the
+    recurrence the loop runs, from rv(0, m) = rv(-1, m) = 0:
+    rv(k+1, m) = 2m * rv(k, m) + m * rv(k-1, m) + m.  Python's
     arbitrary-precision integers leave no overflow regime; results are
     exact for any (n, m).
     """
     n, m = _check_nm(n, m)
-    rv_prev, rv, tail = 0, 0, 0  # rv(k-1, m), rv(k, m) and S_{k+1}, from k = 0
-    for k in range(1, n + 1):
-        rv_prev, rv = rv, m**k + tail
-        tail = m * (tail + 1 + rv + rv_prev)
+    rv_prev, rv = 0, 0  # rv(k-1, m) and rv(k, m), from k = 0
+    for _ in range(n):
+        rv_prev, rv = rv, m * (2 * rv + rv_prev + 1)
     return rv
 
 

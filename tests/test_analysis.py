@@ -91,6 +91,30 @@ def test_tail_bound_overflows_to_inf(lipschitz):
     assert tail_bound_max(BoundInputs(1.0, lipschitz, 0.0), 1) == 0.0  # C = 0
 
 
+@pytest.mark.parametrize(
+    "n,m,want",
+    [
+        (10**400, 10**400, 0.0),  # (3/sqrt(m))^n e^{m/2}: the n terms win
+        (1, 10**400, math.inf),  # e^{m/2}
+        (10**400, 1, math.inf),  # 3^n
+        (10**400, 10**300, 0.0),
+    ],
+    ids=["1e400-1e400", "1-1e400", "1e400-1", "1e400-1e300"],
+)
+def test_error_bound_at_indices_past_the_largest_float(n, m, want):
+    assert error_bound(BoundInputs(1.0, 1.0, 1.0), n, m) == want
+
+
+def test_error_bound_at_a_huge_level_where_the_n_terms_cancel():
+    # L = 0 and m = 1: (1 + 2LT)^n / m^(n/2) = 1 at every n.
+    inputs = BoundInputs(1.0, 0.0, 1.0)
+    assert error_bound(inputs, 10**400, 1) == error_bound(inputs, 1, 1) == math.exp(0.5)
+
+
+def test_tail_bound_at_an_index_past_the_largest_float():
+    assert tail_bound_max(BoundInputs(1.0, 1.0, 1.0), 10**400) == 0.0
+
+
 def test_error_bound_difference_of_overflowing_logs():
     # At n = m = 1e308 > (1 + 2e153)^2 e both log terms overflow, but the
     # bound, C e^{n/2} ((1+2LT) / sqrt(n))^n, underflows to 0.
@@ -178,6 +202,17 @@ def test_n_epsilon_at_a_large_lipschitz_constant():
     assert n_epsilon(BoundInputs(1.0, 5.0, 1.0), 0.5).n_epsilon == 341
 
 
+# SHA-256 of str(total_cost), a 4,133-digit sum of 1,220 rv_exact(j, j), as
+# the forward pass over the levels with a running tail sum computed it.
+TOTAL_COST_SHA256_AT_L10 = "bbe33d395c55d571ac911c42eb9bef5edb73a9c773ac8d39a1deed1c4f75c02e"
+
+
+def test_n_epsilon_total_cost_is_pinned_at_a_deep_schedule():
+    sched = n_epsilon(BoundInputs(1.0, 10.0, 1.0), 0.5)
+    assert sched.n_epsilon == 1220
+    assert hashlib.sha256(str(sched.total_cost).encode()).hexdigest() == TOTAL_COST_SHA256_AT_L10
+
+
 def test_n_epsilon_validation():
     with pytest.raises(ValueError):
         n_epsilon(UNIT, 0.0)
@@ -211,6 +246,20 @@ def test_fit_power_law_validation():
         fit_power_law([1.0, 2.0, 3.0], [0.5, 0.25])
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0, 0.0], [0.5, 0.25, 0.125])
+
+
+@pytest.mark.parametrize(
+    "costs,rmses",
+    [
+        ([1, 2, 3], [0.0, 1.0, 2.0]),
+        ([1, -2, 3], [0.1, 0.2, 0.3]),
+        ([1, 2, 3], [0.1, math.nan, 0.3]),
+        ([1, 2, math.inf], [0.1, 0.2, 0.3]),
+    ],
+)
+def test_fit_power_law_checks_every_input_before_any_log(costs, rmses):
+    with pytest.raises(ValueError, match="positive and finite"):
+        fit_power_law(costs, rmses)
 
 
 def _synthetic_report(rmses, costs, valid=None):
@@ -340,6 +389,32 @@ def test_rmse_experiment_thread_count_does_not_change_results():
     many = rmse_experiment(p, "mlp", [(2, 2), (3, 3)], 200, SEED, threads=8)
     assert [r.rmse for r in one.rows] == [r.rmse for r in many.rows]
     assert one.csv_text() == many.csv_text()
+
+
+@pytest.mark.parametrize("scheme,engine", [("mlp", "mlp_estimate_batch"), ("mc_euler", "mc_euler_batch")])
+def test_the_thread_pool_has_no_more_workers_than_cpus(monkeypatch, scheme, engine):
+    # Eight lane chunks on two CPUs: two workers run the eight engine calls,
+    # and the chunks, so the bytes, are those of eight threads.
+    calls, pools = [], []
+    batch, pool_class = getattr(analysis, engine), analysis.ThreadPoolExecutor
+
+    def counted(*args):
+        calls.append(args[-2].shape[0])
+        return batch(*args)
+
+    def recorded(max_workers):
+        pools.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    p = builtin("linear_meanfield")
+    one = rmse_experiment(p, scheme, [(2, 3)], 8, SEED, threads=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, engine, counted)
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", recorded)
+    eight = rmse_experiment(p, scheme, [(2, 3)], 8, SEED, threads=8)
+    assert pools == [2]
+    assert calls == [1] * 8
+    assert eight.csv_text() == one.csv_text()
 
 
 @pytest.mark.parametrize("scheme,point", [("mlp", (2, 5)), ("mlp", (3, 3)), ("mc_euler", (3, 100))])
@@ -488,15 +563,15 @@ def test_report_serialization(tmp_path):
     rep = rmse_experiment(builtin("const_drift"), "mlp", [(1, 1)], 2, SEED)
     rep.config = {"problem": "const_drift"}
 
-    csv_path = str(tmp_path / "out.csv")
-    rep.write(csv_path, "csv")
-    text = open(csv_path).read()
+    csv_path = tmp_path / "out.csv"
+    rep.write(str(csv_path), "csv")
+    text = csv_path.read_text()
     assert text.splitlines()[0] == CSV_HEADER
     assert text.splitlines()[1] == f"mlp,1,1,2,0.0,{error_bound(UNIT, 1, 1)!r},1,3,,{SEED}"
 
-    json_path = str(tmp_path / "out.json")
-    rep.write(json_path, "json")
-    doc = json.loads(open(json_path).read())
+    json_path = tmp_path / "out.json"
+    rep.write(str(json_path), "json")
+    doc = json.loads(json_path.read_text())
     assert doc["seed"] == SEED
     assert doc["config"] == {"problem": "const_drift"}
     assert doc["rows"][0]["rmse"] == 0.0
@@ -504,9 +579,9 @@ def test_report_serialization(tmp_path):
     assert doc["rng"]["gaussian"] == "box-muller-cosine"
 
     # rewriting produces identical bytes, and no temp files are left behind
-    before = open(csv_path, "rb").read()
-    rep.write(csv_path, "csv")
-    assert open(csv_path, "rb").read() == before
+    before = csv_path.read_bytes()
+    rep.write(str(csv_path), "csv")
+    assert csv_path.read_bytes() == before
     assert [f for f in os.listdir(tmp_path) if f.endswith(".part")] == []
 
     with pytest.raises(ValueError):

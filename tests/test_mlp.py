@@ -48,12 +48,14 @@ def test_rv_exact_hand_values():
 
 def test_rv_exact_equals_the_recursion():
     # The paper's recursion as written, every level re-summed over all the
-    # lower ones (plain recursion would take 3^20 calls at n = 20).
-    for m in range(1, 21):
+    # lower ones (plain recursion would take 3^20 calls at n = 20); deeper
+    # levels for a few bases, where the values pass 64 bits.
+    depths = {m: 60 if m in (1, 2, 7, 20) else 20 for m in range(1, 21)}
+    for m, depth in depths.items():
         rv = [0]
-        for n in range(1, 21):
+        for n in range(1, depth + 1):
             rv.append(m**n + sum(m ** (n - l) * (1 + rv[l] + rv[l - 1]) for l in range(1, n)))
-        assert [rv_exact(n, m) for n in range(21)] == rv
+        assert [rv_exact(n, m) for n in range(depth + 1)] == rv
 
 
 def test_rv_bound_values_and_domination():
