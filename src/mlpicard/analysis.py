@@ -83,10 +83,10 @@ def _check_grid(grid, scheme: str) -> list[tuple[int, int]]:
     """``grid`` as a nonempty list of int pairs, every pair checked by the
     rule of ``scheme``: Euler ``(K, M)`` for ``mc_euler``, else MLP ``(n, m)``."""
     check = _check_km if scheme == "mc_euler" else _check_nm
-    grid = [check(a, b) for a, b in grid]
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    return grid
+    grid = list(grid)
+    if not (grid and all(isinstance(p, (tuple, list, np.ndarray)) and len(p) == 2 for p in grid)):
+        raise ValueError(f"grid must be a nonempty list of (int, int) pairs, got {grid!r}")
+    return [check(a, b) for a, b in grid]
 
 
 class InsufficientDataError(ValueError):
@@ -419,6 +419,8 @@ def fit_power_law(costs: Sequence, rmses: Sequence[float]) -> tuple[float, float
     if not all(0.0 < v < math.inf for v in (*costs, *rmses)):
         raise ValueError("costs and rmses must be positive and finite")
     x = np.array([-math.log(r) for r in rmses])
+    if x.min() == x.max():
+        raise ValueError("rmses must not all be equal")
     y = np.array([math.log(c) for c in costs])
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(intercept)

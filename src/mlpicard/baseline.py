@@ -40,6 +40,7 @@ from .rng import SplittableStream, StreamBundle, _check_int, _check_real, _lane_
 __all__ = ["NoReferenceError", "mc_euler", "mc_euler_batch", "reference_solve"]
 
 _DRAW_CHUNK = 4096  # per-node Z draws vectorised in fixed blocks
+_RK4_STEP = 1e-4  # reference_solve's RK4 step
 
 
 class NoReferenceError(ValueError):
@@ -97,16 +98,14 @@ def _euler(problem, K, M, bundle, ledger, chunk):
     return y
 
 
-def reference_solve(
-    problem: ExpectationOdeProblem, t: float, step: float = 1e-4
-) -> np.ndarray:
+def reference_solve(problem: ExpectationOdeProblem, t: float) -> np.ndarray:
     """Deterministic solution value X(t).
 
     The closed form takes precedence when registered; otherwise classical
-    4th-order Runge-Kutta with fixed step on ``x' = exact_mean_drift(x)``,
-    with one final shortened step to land exactly on ``t``.
+    4th-order Runge-Kutta with fixed step ``_RK4_STEP`` on
+    ``x' = exact_mean_drift(x)``, with one final shortened step to land
+    exactly on ``t``.
     """
-    step = _check_real(step, "step", 0.0, open_low=True)
     t = _check_real(t, "t", 0.0, problem.horizon)
     if problem.closed_form is not None:
         return np.asarray(problem.closed_form(t), dtype=np.float64).copy()
@@ -117,9 +116,9 @@ def reference_solve(
         )
     g = problem.exact_mean_drift
     x = problem.xi.copy()
-    nfull, rem = divmod(t, step)
+    nfull, rem = divmod(t, _RK4_STEP)
     for _ in range(int(nfull)):
-        x = _rk4_step(g, x, step)
+        x = _rk4_step(g, x, _RK4_STEP)
     if rem > 0.0:
         x = _rk4_step(g, x, rem)
     return x

@@ -39,11 +39,12 @@ every node of a block as a new leading lane axis, and the A- and
 B-recursions run once per block on those wider bundles.  Node blocks, and
 the sub-blocks in which a fresh-draw chunk is walked, each have an
 element budget (see ``_DRAW_BLOCK``) and share one carried chain
-(``_chain_sum``): each block's terms follow the running sum, so blocking
-never regroups additions and the temporaries stay bounded however large
-``m**n``.  The draw kernel's temporaries, a sub-block's keys and the
-carried chain live in the per-thread scratch of :mod:`mlpicard.rng`, so
-repeated draws reuse their memory.
+(``_chain_sum``): each block's terms follow the running sum, which starts
+at a float64 zero row, so blocking never regroups additions and the
+temporaries stay bounded however large ``m**n``.  The draw kernel's
+temporaries, a sub-block's keys and the carried chain live in the
+per-thread scratch of :mod:`mlpicard.rng`, so repeated draws reuse their
+memory.
 """
 
 from __future__ import annotations
@@ -92,24 +93,23 @@ _WORKER_NODE_BLOCK = 1 << 16
 class CostLedger:
     """Exact draw counts accumulated by estimator calls.
 
-    ``z_draws`` counts Z realizations (one per ``sample_z`` call),
-    ``uniform_draws`` counts the random evaluation times r, and ``f_evals``
-    counts drift evaluations.  Every Z is consumed by one base evaluation
-    or by one coupled difference (two evaluations, one time draw), so
-    ``f_evals == z_draws + uniform_draws`` always holds.
+    ``z_draws`` counts Z realizations (one per ``sample_z`` call) and
+    ``uniform_draws`` the random evaluation times r.  Every Z is consumed
+    by one base evaluation or by one coupled difference (two evaluations,
+    one time draw), so the drift evaluations ``f_evals`` are derived as
+    ``z_draws + uniform_draws``.
     """
 
     z_draws: int = 0
     uniform_draws: int = 0
-    f_evals: int = 0
+
+    @property
+    def f_evals(self) -> int:
+        return self.z_draws + self.uniform_draws
 
     def merge(self, other: "CostLedger") -> "CostLedger":
         """Componentwise sum; associative and commutative."""
-        return CostLedger(
-            self.z_draws + other.z_draws,
-            self.uniform_draws + other.uniform_draws,
-            self.f_evals + other.f_evals,
-        )
+        return CostLedger(self.z_draws + other.z_draws, self.uniform_draws + other.uniform_draws)
 
 
 def _check_nm(n, m, n_min: int = 0) -> tuple[int, int]:
@@ -213,7 +213,6 @@ def _estimate(problem, n, m, t, bundle, ledger, chunk):
         acc = _chain_sum(terms, 1, width + 1, _block_rows(acc.size, _node_budget()), acc)
         ledger.uniform_draws += width * nlanes
         ledger.z_draws += width * nlanes
-        ledger.f_evals += 2 * width * nlanes
         out = out + (t_col / width) * acc
     return out
 
@@ -243,24 +242,25 @@ def _draw_sum(problem, x, stream, count, chunk, ledger):
     for every lane of the bundle ``stream``.
 
     The fresh-draw kernel behind both the MLP base term and the Euler node
-    average; records ``count`` draws and evaluations per lane in ``ledger``.
-    It sums each run of ``chunk`` indices in ascending k (one draw at a time
-    if ``chunk >= count``) and adds the chunk sums in ascending order.  It
-    walks a chunk with ``_chain_sum`` in sub-blocks of at most
-    ``_DRAW_BLOCK`` lane-dim elements, so the chain of additions, and every
-    rounding, is the same as for one call per chunk.  A sub-block's keys
-    live in scratch, valid for its one ``sample_z_batch`` call.
+    average; records ``count`` draws per lane in ``ledger``.  It sums each
+    run of ``chunk`` indices in ascending k from a float64 zero row (one
+    draw at a time if ``chunk >= count``) and adds the chunk sums in
+    ascending order.  It walks a chunk with ``_chain_sum`` in sub-blocks of
+    at most ``_DRAW_BLOCK`` lane-dim elements, so the chain of additions,
+    and every rounding, is the same as for one call per chunk.  A
+    sub-block's keys live in scratch, valid for its one ``sample_z_batch``
+    call.
     """
     acc = np.zeros(stream.shape + (problem.dim,))
+    zero = np.zeros_like(acc)
     rows = _block_rows(acc.size, _DRAW_BLOCK)
 
     def terms(ks):
         return problem.drift_batch(x, problem.sample_z_batch(_leaf_block(stream, ks)))
 
     for k0 in range(1, count + 1, chunk):
-        acc += _chain_sum(terms, k0, min(k0 + chunk, count + 1), rows)
+        acc += _chain_sum(terms, k0, min(k0 + chunk, count + 1), rows, zero)
     ledger.z_draws += count * stream.keys.size
-    ledger.f_evals += count * stream.keys.size
     return acc
 
 
@@ -277,22 +277,20 @@ def _node_budget():
     return _NODE_BLOCK if main else _WORKER_NODE_BLOCK
 
 
-def _chain_sum(terms, k0, k1, rows, part=None):
-    """``part + terms(k0) + ... + terms(k1 - 1)`` added in that order
-    (``part=None`` starts at the first term).  ``terms`` maps blocks of at
-    most ``rows`` indices to one row each; the running sum is carried as
-    the first row of the next block, so blocking never regroups additions.
+def _chain_sum(terms, k0, k1, rows, part):
+    """``part + terms(k0) + ... + terms(k1 - 1)`` added in that order.
+    ``terms`` maps blocks of at most ``rows`` indices to one row each; the
+    running sum, ``part`` at first, is carried as the first row of the next
+    block, so blocking never regroups additions.
     """
     for j0 in range(k0, k1, rows):
         block = terms(np.arange(j0, min(j0 + rows, k1)))
-        if part is not None:
-            # Filled only once terms() has returned: node blocks nest, so
-            # terms() runs chains of its own on this thread's scratch.
-            chain = _scratch_array(_CHAIN, (len(block) + 1,) + part.shape, np.result_type(part, block))
-            chain[0] = part
-            chain[1:] = block
-            block = chain
-        part = _ascending_sum(block)
+        # Filled only once terms() has returned: node blocks nest, so
+        # terms() runs chains of its own on this thread's scratch.
+        chain = _scratch_array(_CHAIN, (len(block) + 1,) + part.shape, np.result_type(part, block))
+        chain[0] = part
+        chain[1:] = block
+        part = _ascending_sum(chain)
     return part
 
 

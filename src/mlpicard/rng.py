@@ -186,20 +186,18 @@ def _words_np(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
     return _mix64_np(words)
 
 
-def _top53(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The top 53 bits of each word as float64, in ``out`` when given, else
-    in a fresh array.  The words are shifted into the thread's scratch; the
-    shifted words are below 2^53, so converting their int64 view is exact
-    (and faster than uint64)."""
+def _top53(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each word as float64, written to ``out``.  The
+    words are shifted into the thread's scratch; the shifted words are
+    below 2^53, so converting their int64 view is exact (and faster than
+    uint64)."""
     top = np.right_shift(words, _SH11, out=_scratch_array(_SHIFT, words.shape)).view(np.int64)
-    if out is None:
-        return top.astype(np.float64)
     np.copyto(out, top)
     return out
 
 
 def _uniform_from_words(words: np.ndarray) -> np.ndarray:
-    u = _top53(words)
+    u = _top53(words, np.empty(words.shape))
     u *= _INV_2_53
     return u
 
@@ -208,7 +206,7 @@ def _gaussian_from_words(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     # u1 in (0,1] keeps the log finite; u2 in [0,1).  Every step before log
     # and cos is exact: top53 + 1 <= 2^53 is representable, and scaling by
     # 2^-53 commutes with rounding, so 2*pi*2^-53 folds into one constant.
-    g = _top53(w1)
+    g = _top53(w1, np.empty(w1.shape))
     g += 1.0
     g *= _INV_2_53
     np.log(g, out=g)

@@ -50,7 +50,6 @@ def estimate_scalar(problem, n, m, t, stream, ledger):
         acc = acc + drift(xi, z)
     count = m**n
     ledger.z_draws += count
-    ledger.f_evals += count
     out = xi + (t / count) * acc
 
     for l in range(1, n):
@@ -67,13 +66,11 @@ def estimate_scalar(problem, n, m, t, stream, ledger):
             acc = acc + (drift(a, z) - drift(b, z))
         ledger.uniform_draws += width
         ledger.z_draws += width
-        ledger.f_evals += 2 * width
         out = out + (t / width) * acc
     return out
 
 
-def euler_scalar(problem, params, stream, ledger=None):
-    K, M = params.steps, params.samples
+def euler_scalar(problem, K, M, stream, ledger=None):
     h = problem.horizon / K
     y = problem.xi.copy()
     for j in range(K):
@@ -85,7 +82,6 @@ def euler_scalar(problem, params, stream, ledger=None):
         y = y + (h / M) * acc
     if ledger is not None:
         ledger.z_draws += K * M
-        ledger.f_evals += K * M
     return y
 
 

@@ -246,6 +246,9 @@ def test_fit_power_law_validation():
         fit_power_law([1.0, 2.0, 3.0], [0.5, 0.25])
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0, 0.0], [0.5, 0.25, 0.125])
+    # One abscissa has no slope; numpy's fit would return one with a warning.
+    with pytest.raises(ValueError, match="rmses must not all be equal"):
+        fit_power_law([1, 2, 3], [0.5, 0.5, 0.5])
 
 
 @pytest.mark.parametrize(
@@ -450,6 +453,13 @@ def test_rmse_experiment_checks_the_whole_grid_first(scheme, grid):
         rmse_experiment(_refusing_problem(), scheme, grid, 2, SEED)
 
 
+@pytest.mark.parametrize("grid", [[(1, 1, 1)], [5], [(2, 2), (3,)], [(2, 2), None], []])
+@pytest.mark.parametrize("scheme", ["mlp", "mc_euler"])
+def test_rmse_experiment_names_grid_for_a_malformed_pair(scheme, grid):
+    with pytest.raises(ValueError, match="grid must be a nonempty list of \\(int, int\\) pairs"):
+        rmse_experiment(_refusing_problem(), scheme, grid, 2, SEED)
+
+
 @pytest.mark.parametrize(
     "bad,error",
     [
@@ -468,8 +478,8 @@ def test_rmse_experiment_checks_the_whole_grid_first(scheme, grid):
 )
 @pytest.mark.parametrize("scheme", ["mlp", "mc_euler"])
 def test_rmse_experiment_checks_its_arguments_before_computing(scheme, bad, error):
-    # RMSE is measured at the horizon with the default reference step, so
-    # neither takes a keyword.
+    # RMSE is measured at the horizon with the reference solver's fixed step,
+    # so neither takes a keyword.
     args = {"replications": 2, "seed": SEED, "threads": 1} | bad
     with pytest.raises(error):
         rmse_experiment(_refusing_problem(), scheme, [(2, 2)], args.pop("replications"), args.pop("seed"), **args)

@@ -1,6 +1,7 @@
 """The public API: the names the package exports, the estimator entries'
 one signature and the RMSE harness's parameters."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -8,12 +9,14 @@ import pytest
 import mlpicard
 from mlpicard import analysis, baseline, mlp, problems, rng
 from mlpicard import (
+    CostLedger,
     StreamBundle,
     builtin,
     mc_euler,
     mc_euler_batch,
     mlp_estimate,
     mlp_estimate_batch,
+    reference_solve,
     rmse_experiment,
     root,
 )
@@ -86,6 +89,13 @@ def test_entries_share_one_signature(entry):
     parameters = inspect.signature(entry).parameters.values()
     assert [p.name for p in parameters] == ENTRY_PARAMETERS[entry]
     assert all(p.default is inspect.Parameter.empty for p in parameters)
+
+
+def test_ledger_fields_and_reference_parameters_are_pinned():
+    # f_evals is derived from the two draw counts; the RK4 step is private.
+    assert [f.name for f in dataclasses.fields(CostLedger)] == ["z_draws", "uniform_draws"]
+    assert CostLedger(3, 4).f_evals == 7
+    assert list(inspect.signature(reference_solve).parameters) == ["problem", "t"]
 
 
 def test_rmse_experiment_parameters_are_pinned():

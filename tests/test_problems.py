@@ -2,11 +2,11 @@
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mlpicard import baseline
 from mlpicard.baseline import mc_euler, mc_euler_batch, reference_solve
 from mlpicard.mlp import CostLedger, mlp_estimate, mlp_estimate_batch
 from mlpicard.problems import (
@@ -56,7 +56,7 @@ def test_linear_closed_form_against_rk4_oracle():
     lin = builtin("linear_meanfield")
     rk_only = dataclasses.replace(lin, closed_form=None)
     for t in (0.3, 0.75, 1.0):
-        assert abs(reference_solve(rk_only, t, 1e-4)[0] - lin.closed_form(t)[0]) <= 1e-10
+        assert abs(reference_solve(rk_only, t)[0] - lin.closed_form(t)[0]) <= 1e-10
 
 
 def test_exact_mean_drifts():
@@ -130,13 +130,14 @@ def test_closed_form_satisfies_integral_equation(name):
         assert abs(p.closed_form(t)[0] - p.xi[0] - integral) <= 1e-8
 
 
-def test_a_priori_bound_on_closed_forms():
+def test_a_priori_bound_on_closed_forms(monkeypatch):
     # ||X(t) - xi|| <= T * sqrt(E||F(xi,Z)||^2) * exp(L*T) along the solution.
+    monkeypatch.setattr(baseline, "_RK4_STEP", 1e-3)
     for name in BUILTIN_NAMES:
         p = builtin(name)
         cap = p.horizon * math.sqrt(p.f_xi_second_moment) * math.exp(p.lipschitz * p.horizon)
         for t in np.linspace(0.0, p.horizon, 50):
-            x = reference_solve(p, float(t), 1e-3)
+            x = reference_solve(p, float(t))
             assert np.linalg.norm(x - p.xi) <= cap + 1e-12
 
 
@@ -251,11 +252,11 @@ def test_scalar_sampler_counter_rule_holds_for_euler(K, M):
     p = _scalar_only(builtin("linear_meanfield"), name="rejection", sample_z=_rejection_sample_z)
     for j in range(1, 4):
         got = mc_euler(p, K, M, root(12345).spawn(j), CostLedger())
-        want = euler_scalar(p, SimpleNamespace(steps=K, samples=M), root(12345).spawn(j))
+        want = euler_scalar(p, K, M, root(12345).spawn(j))
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     got = mc_euler_batch(p, K, M, StreamBundle.root_children(12345, np.arange(1, 6)), CostLedger())
     for j in range(1, 6):
-        want = euler_scalar(p, SimpleNamespace(steps=K, samples=M), root(12345).spawn(j))
+        want = euler_scalar(p, K, M, root(12345).spawn(j))
         assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
 
 
@@ -271,7 +272,7 @@ def test_batch_entries_serve_problems_without_batch_hooks(scheme):
         run = lambda stream: estimate_scalar(p, 2, 30, 0.8, stream, want_ledger)
     else:
         got = mc_euler_batch(p, 2, 5000, bundle, ledger)
-        run = lambda stream: euler_scalar(p, SimpleNamespace(steps=2, samples=5000), stream, want_ledger)
+        run = lambda stream: euler_scalar(p, 2, 5000, stream, want_ledger)
     for j in range(1, 6):
         want = run(root(12345).spawn(j))
         assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
