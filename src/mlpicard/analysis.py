@@ -315,13 +315,6 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _run_lanes(problem, engine, args, seed, lanes):
-    """Realizations on ``root(seed).spawn(j)`` for j in ``lanes``, and their
-    ledger, from one engine call on the bundle of those lanes."""
-    ledger = CostLedger()
-    return engine(problem, *args, StreamBundle.root_children(seed, lanes), ledger), ledger
-
-
 def rmse_experiment(
     problem: ExpectationOdeProblem,
     scheme: str,
@@ -364,7 +357,11 @@ def rmse_experiment(
             per_real = a * b
             bound = None
             bound_rv = None
-        run = lambda lanes: _run_lanes(problem, engine, args, seed, lanes)
+
+        def run(lanes):
+            # One engine call on the bundle of ``root(seed).spawn(j)``, j in lanes.
+            ledger = CostLedger()
+            return engine(problem, *args, StreamBundle.root_children(seed, lanes), ledger), ledger
 
         if len(chunks) == 1:
             parts = [run(chunks[0])]

@@ -68,9 +68,7 @@ class ExperimentConfig:
         for name in ("problem", "output_path"):
             if not isinstance(raw.get(name, ""), str):
                 raise ConfigError(f"field {name!r} must be a string")
-        grid, epsilon_list = raw.get("grid", []), raw.get("epsilon_list", [1.0])
-        if not (isinstance(grid, list) and all(isinstance(p, list) and len(p) == 2 for p in grid)):
-            raise ConfigError("field 'grid' must be a list of [int, int] pairs")
+        epsilon_list = raw.get("epsilon_list", [1.0])
         if not (isinstance(epsilon_list, list) and epsilon_list):
             raise ConfigError("field 'epsilon_list' must be a nonempty list")
 
@@ -182,6 +180,8 @@ def cmd_schedule(config_path: str) -> int:
     config = load_config(config_path)
     if config.epsilon_list is None:
         raise ConfigError("'schedule' requires config field 'epsilon_list'")
+    if config.format != "csv":
+        raise ConfigError(f"field 'format': 'schedule' writes CSV only, got {config.format!r}")
     if config.output_path is not None:
         _check_output_dir(config.output_path)
     problem = builtin(config.problem)

@@ -202,11 +202,6 @@ _ZERO = np.zeros(1)
 _ONE = np.ones(1)
 
 
-def _z_shaped_drift(value: np.ndarray, z) -> np.ndarray:
-    # Broadcast a per-draw scalar payload against (..., dim) states.
-    return np.asarray(z)[..., None] + value
-
-
 def _pure_noise() -> ExpectationOdeProblem:
     # F(x, z) = z with Z ~ N(0, 1): zero mean drift, X(t) = 0.
     return ExpectationOdeProblem(
@@ -221,7 +216,7 @@ def _pure_noise() -> ExpectationOdeProblem:
         exact_mean_drift=lambda x: np.zeros(1),
         closed_form=lambda t: np.zeros(1),
         sample_z_batch=lambda bundle: bundle.next_gaussian(),
-        drift_batch=lambda x, z: _z_shaped_drift(np.zeros(1), z),
+        drift_batch=lambda x, z: np.asarray(z)[..., None] + 0.0,
     )
 
 

@@ -368,9 +368,7 @@ class SplittableStream:
         return f"SplittableStream(seed={self.seed}, path={self.path}, counter={self.counter})"
 
 
-def root(seed: int) -> SplittableStream:
-    """Convenience alias for :meth:`SplittableStream.root`."""
-    return SplittableStream.root(seed)
+root = SplittableStream.root
 
 
 def _keyed_stream(key: int, counter: int) -> SplittableStream:

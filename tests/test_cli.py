@@ -118,6 +118,10 @@ def test_invalid_grid_exits_2(tmp_path, capsys):
         ("run", "format", "xml"),
         ("run", "grid", [[1, True]]),
         ("run", "grid", [[1]]),
+        ("run", "grid", 5),
+        ("run", "grid", "ab"),
+        ("run", "grid", {"a": [1, 2]}),
+        ("run", "grid", [[1, 2, 3]]),
         ("run", "problem", 3),
         ("schedule", "mathfrak_n", True),
         ("schedule", "mathfrak_n", 1.5),
@@ -125,6 +129,7 @@ def test_invalid_grid_exits_2(tmp_path, capsys):
         ("schedule", "epsilon_list", [True]),
         ("schedule", "epsilon_list", [0.5, 0.0]),
         ("schedule", "epsilon_list", []),
+        ("schedule", "format", "json"),
     ],
 )
 def test_bad_field_value_exits_2_naming_the_field_before_computing(tmp_path, capsys, command, field, value):
