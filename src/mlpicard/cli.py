@@ -142,6 +142,7 @@ def cmd_run(config_path: str, threads: int = 1) -> int:
     _check_output_dir(config.output_path)
     problem = builtin(config.problem)
 
+    error = None
     try:
         report = rmse_experiment(
             problem,
@@ -153,13 +154,12 @@ def cmd_run(config_path: str, threads: int = 1) -> int:
         )
     except NoReferenceError as exc:
         report = RmseReport(problem.name, config.scheme, config.seed, problem.horizon)
-        report.config = config.to_dict()
-        report.write(config.output_path, config.format)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+        error = exc
     report.config = config.to_dict()
     report.write(config.output_path, config.format)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
     print(f"problem={config.problem} scheme={config.scheme} seed={config.seed} R={config.replications}")
     print(f"{'n':>6} {'m':>6} {'rmse':>12} {'bound':>12} {'rv_exact':>12} {'wall_ms':>10}")

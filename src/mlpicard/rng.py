@@ -313,12 +313,8 @@ class SplittableStream:
         child of a stream known only by its key has path ``None`` too.
         """
         index = _check_index(index)
-        child = object.__new__(SplittableStream)
-        child.seed = self.seed
-        child.path = None if self.path is None else self.path + (index,)
-        child.counter = 0
-        child._key = _child_key(self._key, index)
-        return child
+        path = None if self.path is None else self.path + (index,)
+        return _keyed_stream(_child_key(self._key, index), 0, self.seed, path)
 
     def next_uniform(self) -> float:
         """Next uniform draw in [0, 1); advances the counter by one."""
@@ -371,11 +367,11 @@ class SplittableStream:
 root = SplittableStream.root
 
 
-def _keyed_stream(key: int, counter: int) -> SplittableStream:
-    """The stream of ``key`` at ``counter``; its seed and path are ``None``,
-    and so are those of its children."""
+def _keyed_stream(key: int, counter: int, seed: int | None = None, path: tuple | None = None) -> SplittableStream:
+    """The stream of ``key`` at ``counter``, labelled ``seed`` and ``path``
+    unchecked; both are ``None`` for a stream known only by its key."""
     stream = object.__new__(SplittableStream)
-    stream.seed, stream.path, stream.counter, stream._key = None, None, counter, key
+    stream.seed, stream.path, stream.counter, stream._key = seed, path, counter, key
     return stream
 
 

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, diagnostics, reproducible artifacts."""
 
+import hashlib
 import json
 
 import pytest
@@ -299,3 +300,61 @@ def test_missing_output_directory_exits_2_before_computing(tmp_path, capsys, com
         assert "output directory" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+# SHA-256 of the schedule CSV of linear_meanfield by mathfrak_n, as the
+# parent of the one-write-path `run` wrote it; nothing else pins these bytes.
+SCHEDULE_SHA256 = {
+    0: "875667b77235dc6bb57a428f35166b96ddb67c17fad4cb5f3537eb75d809a571",
+    2: "5e4e71c7086d7ed797d37eb86cc106bbafb4123be7b1190e17efa0c6b56dbcd8",
+}
+
+
+@pytest.mark.parametrize("mathfrak_n", list(SCHEDULE_SHA256))
+def test_schedule_csv_bytes_are_pinned(tmp_path, mathfrak_n):
+    cfg = tmp_path / "cfg.json"
+    _write_config(
+        cfg,
+        problem="linear_meanfield",
+        epsilon_list=[1.0, 0.5, 0.25, 1e-3],
+        mathfrak_n=mathfrak_n,
+        output_path=str(tmp_path / "sched.csv"),
+    )
+    assert main(["schedule", "--config", str(cfg)]) == 0
+    assert hashlib.sha256((tmp_path / "sched.csv").read_bytes()).hexdigest() == SCHEDULE_SHA256[mathfrak_n]
+
+
+# SHA-256 of the missing-reference `run` artifact (a header, and in JSON the
+# config block with output path "out.<format>"), as written when that branch
+# wrote the artifact on a path of its own.
+NO_REFERENCE_SHA256 = {
+    "csv": "a4c9465a10ff69e4ac6bae3bed4cd3325c1c6899789daea2e709032614f35d1b",
+    "json": "1534a818bfd224d4f7c1e6ce311b3906015d4c78a52595758431428345e26fc5",
+}
+
+
+@pytest.mark.parametrize("fmt", list(NO_REFERENCE_SHA256))
+def test_no_reference_artifact_bytes_are_pinned(tmp_path, monkeypatch, capsys, fmt):
+    import numpy as np
+
+    from mlpicard.problems import ExpectationOdeProblem, register_problem, _REGISTRY
+
+    p = ExpectationOdeProblem(
+        name="cli_no_ref",
+        dim=1,
+        xi=np.zeros(1),
+        horizon=1.0,
+        lipschitz=0.0,
+        sample_z=lambda s: 0.0,
+        drift=lambda x, z: np.zeros(1),
+        f_xi_second_moment=0.0,
+    )
+    monkeypatch.chdir(tmp_path)  # the JSON config block holds the output path
+    register_problem(p)
+    try:
+        _write_config(tmp_path / "cfg.json", problem="cli_no_ref", output_path=f"out.{fmt}", format=fmt)
+        assert main(["run", "--config", "cfg.json"]) == 1
+        assert "no reference available" in capsys.readouterr().err
+        assert hashlib.sha256((tmp_path / f"out.{fmt}").read_bytes()).hexdigest() == NO_REFERENCE_SHA256[fmt]
+    finally:
+        _REGISTRY.pop("cli_no_ref", None)
