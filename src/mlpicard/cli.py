@@ -121,12 +121,8 @@ def _check_output_dir(path: str) -> None:
         raise ConfigError(f"output directory {directory} does not exist or is not writable")
 
 
-def _fmt(x, width=12) -> str:
-    if x is None:
-        return " " * (width - 1) + "-"
-    if isinstance(x, float):
-        return f"{x:>{width}.6g}"
-    return f"{x:>{width}}"
+def _fmt(x: float | None) -> str:
+    return f"{'-':>12}" if x is None else f"{x:>12.6g}"
 
 
 def cmd_run(config_path: str, threads: int = 1) -> int:

@@ -34,7 +34,9 @@ counter (``seed`` and ``path`` are ``None``).  Only the counter on entry
 matters, as an MLP node draws ``r``, then Z, then only spawns, and a
 fresh-draw leaf draws only Z: ``sample_z`` may consume any number of
 counters, different on each lane, and may spawn children, which are keyed
-streams too.  A problem sets both batch hooks or neither.
+streams too.  A problem sets both batch hooks or neither; without them,
+:func:`check_problem` runs these lane-by-lane hooks at the same shapes.
+Every error a hook raises there is a ``ValueError`` that names the hook.
 """
 
 from __future__ import annotations
@@ -133,24 +135,21 @@ def check_problem(problem: ExpectationOdeProblem) -> None:
     states other than ``xi``, at counter 0 with states of shape (3, dim) (an
     Euler node against a block of draws) and at counter 1 with states of
     shape (2, 3, dim) (an MLP node block).  NaN equals NaN: a drift may be
-    non-finite.  Raises ``ValueError`` naming the hook; a problem without
-    batch hooks passes.
+    non-finite.  Raises ``ValueError`` naming the hook; the scalar hooks run
+    first.  Without batch hooks both sides run the lane-by-lane hooks.
     """
-    if not problem.has_batch:
-        return
     scalar = _as_batch(dataclasses.replace(problem, sample_z_batch=None, drift_batch=None))
     keys = StreamBundle.root_children(0, [[1, 2, 3], [4, 5, 6]]).keys
     states = problem.xi + np.arange(1, 7).reshape(2, 3, 1) / 8  # one exact offset per lane
     cases = ((problem.xi, keys[0], 0), (problem.xi, keys[0], 1), (states[0], keys, 0), (states, keys, 1))
     for x, lanes, counter in cases:
-        z = _call_hook(problem, "sample_z_batch", lanes.shape, StreamBundle(lanes, counter))
-        got = np.asarray(_call_hook(problem, "drift_batch", lanes.shape, x, z), np.float64)
+        want = _run_hooks(scalar, ("sample_z", "drift"), x, lanes, counter)
+        got = _run_hooks(_as_batch(problem), ("sample_z_batch", "drift_batch"), x, lanes, counter)
         if got.shape != lanes.shape + (problem.dim,):
             raise ValueError(
                 f"problem {problem.name!r}: drift_batch(x, sample_z_batch(bundle)) on lanes {lanes.shape} "
                 f"has shape {got.shape}, not {lanes.shape + (problem.dim,)}"
             )
-        want = scalar.drift_batch(x, scalar.sample_z_batch(StreamBundle(lanes, counter)))
         nan = np.isnan(got) & np.isnan(want)
         if not np.all(nan | ((got == want) & (np.signbit(got) == np.signbit(want)))):
             raise ValueError(
@@ -159,13 +158,16 @@ def check_problem(problem: ExpectationOdeProblem) -> None:
             )
 
 
-def _call_hook(problem, hook, lanes, *args):
-    """``problem.<hook>(*args)``, any error it raises as a ``ValueError``
-    that names the hook and the lane shape."""
+def _run_hooks(view, labels, x, lanes, counter):
+    """``view.drift_batch(x, view.sample_z_batch(StreamBundle(lanes, counter)))`` as float64,
+    any error as a ``ValueError`` naming the hook that raised by its label in ``labels``."""
+    label = labels[0]
     try:
-        return getattr(problem, hook)(*args)
+        z = view.sample_z_batch(StreamBundle(lanes, counter))
+        label = labels[1]
+        return np.asarray(view.drift_batch(x, z), np.float64)
     except Exception as exc:
-        raise ValueError(f"problem {problem.name!r}: {hook} on lanes {lanes} raised {exc!r}") from exc
+        raise ValueError(f"problem {view.name!r}: {label} on lanes {lanes.shape} raised {exc!r}") from exc
 
 
 def register_problem(problem: ExpectationOdeProblem, replace: bool = False) -> None:

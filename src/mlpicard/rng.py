@@ -13,8 +13,10 @@ where ``key`` is a per-element chained hash of the seed and the path and
 
 * spawning is O(1) and never touches the parent's counter or path,
 * a draw is a pure function of (seed, path, counter), so the same
-  (seed, path) reproduces the identical bit stream on every run and
-  platform, and sibling streams can be advanced in any interleaving,
+  (seed, path) reproduces the identical words and uniforms on every run
+  and platform (Gaussians go through numpy's float64 ``log`` and ``cos``,
+  whose bits may differ with the CPU's SIMD features), and sibling
+  streams can be advanced in any interleaving,
 * independence across streams is the usual engineering surrogate
   (hash quality rather than a theorem); the test suite runs correlation
   batteries over the path tree to back it up statistically.

@@ -6,6 +6,8 @@ accumulation, kept apart from the package so that engine tests compare two
 implementations rather than one engine with itself.  ``mix64_np`` and
 ``gaussian_from_words`` are the draw transform written with fresh arrays
 and the unfolded constants, the reference for the in-place kernel.
+``refusing_problem`` raises from every callable, for tests that an entry
+refuses its input before it runs anything.
 """
 
 import math
@@ -118,3 +120,25 @@ PROBLEM_NAMES = BUILTIN_NAMES + ("planar_rotation",)
 def named_problem(name):
     """A built-in problem, or the 2-D test problem for ``"planar_rotation"``."""
     return two_dim_problem() if name == "planar_rotation" else builtin(name)
+
+
+def refusing_problem():
+    """A problem whose hooks, ``exact_mean_drift`` and ``closed_form`` all raise."""
+
+    def refuse(*args):
+        raise AssertionError("ran a problem hook before the inputs were checked")
+
+    return ExpectationOdeProblem(
+        name="refusing",
+        dim=1,
+        xi=np.zeros(1),
+        horizon=1.0,
+        lipschitz=0.0,
+        sample_z=refuse,
+        drift=refuse,
+        f_xi_second_moment=0.0,
+        exact_mean_drift=refuse,
+        closed_form=refuse,
+        sample_z_batch=refuse,
+        drift_batch=refuse,
+    )

@@ -28,6 +28,7 @@ from mlpicard.baseline import NoReferenceError
 from mlpicard.cli import ExperimentConfig
 from mlpicard.mlp import CostLedger, rv_exact
 from mlpicard.problems import ExpectationOdeProblem, builtin
+from oracle import refusing_problem
 
 SEED = 12345
 UNIT = BoundInputs(horizon=1.0, lipschitz=0.0, f_xi_second_moment=1.0)
@@ -430,34 +431,17 @@ def test_two_replications_give_the_same_bytes_on_one_and_two_threads(scheme, poi
     assert one.csv_text() == two.csv_text()
 
 
-def _refusing_problem():
-    def refuse(*args):
-        raise AssertionError("computed a row before the grid was checked")
-
-    return ExpectationOdeProblem(
-        name="refusing",
-        dim=1,
-        xi=np.zeros(1),
-        horizon=1.0,
-        lipschitz=0.0,
-        sample_z=refuse,
-        drift=refuse,
-        f_xi_second_moment=0.0,
-        closed_form=refuse,
-    )
-
-
 @pytest.mark.parametrize("scheme,grid", [("mlp", [(2, 2), (2.5, 2)]), ("mc_euler", [(2, 2), (True, 2)])])
 def test_rmse_experiment_checks_the_whole_grid_first(scheme, grid):
     with pytest.raises(TypeError, match="must be an integer"):
-        rmse_experiment(_refusing_problem(), scheme, grid, 2, SEED)
+        rmse_experiment(refusing_problem(), scheme, grid, 2, SEED)
 
 
 @pytest.mark.parametrize("grid", [[(1, 1, 1)], [5], [(2, 2), (3,)], [(2, 2), None], []])
 @pytest.mark.parametrize("scheme", ["mlp", "mc_euler"])
 def test_rmse_experiment_names_grid_for_a_malformed_pair(scheme, grid):
     with pytest.raises(ValueError, match="grid must be a nonempty list of \\(int, int\\) pairs"):
-        rmse_experiment(_refusing_problem(), scheme, grid, 2, SEED)
+        rmse_experiment(refusing_problem(), scheme, grid, 2, SEED)
 
 
 @pytest.mark.parametrize(
@@ -482,7 +466,7 @@ def test_rmse_experiment_checks_its_arguments_before_computing(scheme, bad, erro
     # so neither takes a keyword.
     args = {"replications": 2, "seed": SEED, "threads": 1} | bad
     with pytest.raises(error):
-        rmse_experiment(_refusing_problem(), scheme, [(2, 2)], args.pop("replications"), args.pop("seed"), **args)
+        rmse_experiment(refusing_problem(), scheme, [(2, 2)], args.pop("replications"), args.pop("seed"), **args)
 
 
 # SHA-256 of the CSV bytes as the one-call-per-chunk draw kernel wrote them,
@@ -596,6 +580,17 @@ def test_report_serialization(tmp_path):
 
     with pytest.raises(ValueError):
         rep.write(str(tmp_path / "x"), "xml")
+
+
+def test_write_onto_a_directory_raises_and_leaves_no_temp_file(tmp_path):
+    # The rename onto a directory fails after the temp file is written, so
+    # the cleanup branch must remove it.
+    (tmp_path / "out.csv").mkdir()
+    rep = RmseReport("synthetic", "mlp", SEED, 1.0)
+    with pytest.raises(IsADirectoryError):
+        rep.write(str(tmp_path / "out.csv"), "csv")
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert os.listdir(tmp_path / "out.csv") == []
 
 
 def test_numpy_scalar_cells_serialize_as_python_numbers():

@@ -18,19 +18,10 @@ from mlpicard.baseline import (
 from mlpicard.mlp import CostLedger
 from mlpicard.problems import ExpectationOdeProblem, builtin
 from mlpicard.rng import StreamBundle, root
-from oracle import PROBLEM_NAMES, euler_scalar, named_problem
+from oracle import PROBLEM_NAMES, euler_scalar, named_problem, refusing_problem
 
 X_INF = 1.0 - math.exp(-1.0)
 SEED = 12345
-
-
-def _refusing_problem():
-    # Any draw raises, so an input error must be reported before sampling.
-    def refuse(*args):
-        raise AssertionError("drew before validating")
-
-    hooks = dict.fromkeys(("sample_z", "drift", "sample_z_batch", "drift_batch"), refuse)
-    return dataclasses.replace(builtin("pure_noise"), name="refusing", **hooks)
 
 
 # Both entries, on a 1-lane stream and on a 2-lane bundle.
@@ -47,7 +38,7 @@ def test_params_validation():
         for K, M in [(0, 1), (1, 0)]:
             ledger = CostLedger()
             with pytest.raises(ValueError):
-                entry(_refusing_problem(), K, M, ledger)
+                entry(refusing_problem(), K, M, ledger)
             assert ledger == CostLedger()
         want = entry(p, 3, 2, CostLedger())
         assert np.array_equal(entry(p, np.int64(3), np.int32(2), CostLedger()), want)
@@ -57,9 +48,9 @@ def test_params_validation():
 def test_params_must_be_integers(bad):
     for entry in ENTRIES:
         with pytest.raises(TypeError, match="must be an integer"):
-            entry(_refusing_problem(), bad, 3, CostLedger())
+            entry(refusing_problem(), bad, 3, CostLedger())
         with pytest.raises(TypeError, match="must be an integer"):
-            entry(_refusing_problem(), 3, bad, CostLedger())
+            entry(refusing_problem(), 3, bad, CostLedger())
 
 
 def test_const_drift_euler_is_exact():

@@ -94,6 +94,24 @@ def test_missing_field_exits_2_naming_field(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"problem": "const_drift", "seed": SEED}]))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["scheme", "grid", "replications", "output_path"])
+def test_run_without_a_run_field_exits_2_naming_it(tmp_path, capsys, field):
+    cfg = tmp_path / "cfg.json"
+    config = _write_config(cfg)
+    del config[field]
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"'run' requires config field {field!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_unknown_field_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg, typo_field=1)

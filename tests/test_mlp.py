@@ -20,7 +20,7 @@ from mlpicard.mlp import (
 )
 from mlpicard.problems import BUILTIN_NAMES, ExpectationOdeProblem, builtin
 from mlpicard.rng import StreamBundle, root
-from oracle import PROBLEM_NAMES, estimate_scalar, named_problem, two_dim_problem
+from oracle import PROBLEM_NAMES, estimate_scalar, named_problem, refusing_problem, two_dim_problem
 
 SEED = 12345
 
@@ -83,8 +83,8 @@ def test_rv_validation():
         lambda v: rv_exact(v, 2),
         lambda v: rv_exact(2, v),
         lambda v: rv_bound(v, 2),
-        lambda v: mlp_estimate(_refusing_problem(), v, 2, 1.0, root(1), CostLedger()),
-        lambda v: mlp_estimate(_refusing_problem(), 2, v, 1.0, root(1), CostLedger()),
+        lambda v: mlp_estimate(refusing_problem(), v, 2, 1.0, root(1), CostLedger()),
+        lambda v: mlp_estimate(refusing_problem(), 2, v, 1.0, root(1), CostLedger()),
         lambda v: mlp_estimate_batch(
             builtin("pure_noise"), v, 2, 1.0, StreamBundle.root_children(1, [1]), CostLedger()
         ),
@@ -104,39 +104,20 @@ def test_numpy_integer_levels_are_accepted():
     assert np.array_equal(got, mlp_estimate(p, 2, 3, 1.0, root(4), CostLedger()))
 
 
-def _refusing_problem():
-    # Any draw raises, so an input error must be reported before sampling.
-    def refuse(*args):
-        raise AssertionError("drew before validating")
-
-    return ExpectationOdeProblem(
-        name="refusing",
-        dim=1,
-        xi=np.zeros(1),
-        horizon=1.0,
-        lipschitz=0.0,
-        sample_z=refuse,
-        drift=refuse,
-        f_xi_second_moment=0.0,
-        sample_z_batch=refuse,
-        drift_batch=refuse,
-    )
-
-
 @pytest.mark.parametrize("t", [-0.5, math.nan, 5.0, [0.5, 1.5], [0.5, math.nan]])
 def test_batch_rejects_times_outside_horizon_before_drawing(t):
     # t is one real number, so a list of times is refused by its type.
     bundle = StreamBundle.root_children(1, [1, 2])
     ledger = CostLedger()
     with pytest.raises(ValueError if np.ndim(t) == 0 else TypeError, match="time t"):
-        mlp_estimate_batch(_refusing_problem(), 2, 2, t, bundle, ledger)
+        mlp_estimate_batch(refusing_problem(), 2, 2, t, bundle, ledger)
     assert ledger == CostLedger()
 
 
 @pytest.mark.parametrize("t", [1.5, 5.0])
 def test_scalar_rejects_times_beyond_horizon_before_drawing(t):
     with pytest.raises(ValueError, match="time t"):
-        mlp_estimate(_refusing_problem(), 2, 2, t, root(1), CostLedger())
+        mlp_estimate(refusing_problem(), 2, 2, t, root(1), CostLedger())
 
 
 @pytest.mark.parametrize(
@@ -150,9 +131,9 @@ def test_batch_times_must_be_real_numbers(t):
     # which names no argument, and the 1-lane entry took a (1,) array.
     ledger = CostLedger()
     with pytest.raises(TypeError, match="time t"):
-        mlp_estimate_batch(_refusing_problem(), 2, 2, t, StreamBundle.root_children(1, [1, 2, 3]), ledger)
+        mlp_estimate_batch(refusing_problem(), 2, 2, t, StreamBundle.root_children(1, [1, 2, 3]), ledger)
     with pytest.raises(TypeError, match="time t"):
-        mlp_estimate(_refusing_problem(), 2, 2, t, root(1), ledger)
+        mlp_estimate(refusing_problem(), 2, 2, t, root(1), ledger)
     assert ledger == CostLedger()
 
 
@@ -170,14 +151,14 @@ def test_params_validation():
     for n, m, t in [(-1, 2, 0.5), (1, 0, 0.5), (1, 2, -0.5), (1, 2, 1.5)]:
         ledger = CostLedger()
         with pytest.raises(ValueError):
-            mlp_estimate(_refusing_problem(), n, m, t, root(SEED), ledger)
+            mlp_estimate(refusing_problem(), n, m, t, root(SEED), ledger)
         assert ledger == CostLedger()
 
 
 @pytest.mark.parametrize("t,error", [(True, TypeError), ("0.5", TypeError), (None, TypeError), (math.inf, ValueError)])
 def test_params_time_must_be_a_finite_real(t, error):
     with pytest.raises(error, match="time t"):
-        mlp_estimate(_refusing_problem(), 1, 1, t, root(1), CostLedger())
+        mlp_estimate(refusing_problem(), 1, 1, t, root(1), CostLedger())
 
 
 def test_level_zero_returns_xi_without_draws():

@@ -290,7 +290,7 @@ def test_batch_hooks_come_both_or_neither(missing):
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_check_problem_accepts_consistent_hooks(name):
     check_problem(named_problem(name))
-    check_problem(_scalar_only(named_problem(name)))  # no batch hooks: nothing to check
+    check_problem(_scalar_only(named_problem(name)))  # no batch hooks: the scalar hooks run at every shape
 
 
 def test_check_problem_allows_non_finite_drifts():
@@ -326,3 +326,35 @@ def test_register_problem_rejects_inconsistent_batch_hooks(changes, hook):
     with pytest.raises(ValueError, match=hook):
         register_problem(p)
     assert "inconsistent" not in problem_names()
+
+
+def _raise(error):
+    def hook(*args):
+        raise error
+
+    return hook
+
+
+@pytest.mark.parametrize(
+    "changes,hook",
+    [
+        # without batch hooks, a drift that returns two values for dim = 1
+        ({"sample_z_batch": None, "drift_batch": None, "drift": lambda x, z: np.array([z, z]) - x},
+         r": drift on lanes \(3,\) raised ValueError\('cannot reshape"),
+        # without batch hooks, a sampler that raises
+        ({"sample_z_batch": None, "drift_batch": None, "sample_z": _raise(ZeroDivisionError("broken sampler"))},
+         r": sample_z on lanes \(3,\) raised ZeroDivisionError"),
+        # with batch hooks, a scalar drift that raises
+        ({"drift": _raise(TypeError("broken drift"))}, r": drift on lanes \(3,\) raised TypeError"),
+        # with batch hooks, a scalar drift of the wrong shape
+        ({"drift": lambda x, z: np.array([z, z])}, r": drift on lanes \(3,\) raised ValueError\('cannot reshape"),
+    ],
+    ids=["hookless-drift-shape", "hookless-sample_z-raises", "drift-raises", "drift-shape"],
+)
+def test_register_problem_names_the_scalar_hook_that_raises(changes, hook):
+    # The scalar hooks run through the same error wrapper as the batch hooks,
+    # and a problem without batch hooks is checked like any other.
+    p = dataclasses.replace(builtin("linear_meanfield"), name="refused", **changes)
+    with pytest.raises(ValueError, match=hook):
+        register_problem(p)
+    assert "refused" not in problem_names()
