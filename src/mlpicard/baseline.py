@@ -104,23 +104,29 @@ def reference_solve(problem: ExpectationOdeProblem, t: float) -> np.ndarray:
     The closed form takes precedence when registered; otherwise classical
     4th-order Runge-Kutta with fixed step ``_RK4_STEP`` on
     ``x' = exact_mean_drift(x)``, with one final shortened step to land
-    exactly on ``t``.
+    exactly on ``t``.  Raises ``ValueError`` naming the hook unless the
+    result has shape ``(dim,)``.
     """
     t = _check_real(t, "t", 0.0, problem.horizon)
     if problem.closed_form is not None:
-        return np.asarray(problem.closed_form(t), dtype=np.float64).copy()
-    if problem.exact_mean_drift is None:
+        hook, x = "closed_form", np.asarray(problem.closed_form(t), dtype=np.float64).copy()
+    elif problem.exact_mean_drift is None:
         raise NoReferenceError(
             f"no reference available for problem {problem.name!r}: "
             "neither closed_form nor exact_mean_drift is defined"
         )
-    g = problem.exact_mean_drift
-    x = problem.xi.copy()
-    nfull, rem = divmod(t, _RK4_STEP)
-    for _ in range(int(nfull)):
-        x = _rk4_step(g, x, _RK4_STEP)
-    if rem > 0.0:
-        x = _rk4_step(g, x, rem)
+    else:
+        hook, g = "exact_mean_drift", problem.exact_mean_drift
+        x = problem.xi.copy()
+        nfull, rem = divmod(t, _RK4_STEP)
+        for _ in range(int(nfull)):
+            x = _rk4_step(g, x, _RK4_STEP)
+        if rem > 0.0:
+            x = _rk4_step(g, x, rem)
+    if x.shape != (problem.dim,):
+        raise ValueError(
+            f"problem {problem.name!r}: {hook} gives a reference of shape {x.shape}, not ({problem.dim},)"
+        )
     return x
 
 

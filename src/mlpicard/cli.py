@@ -44,8 +44,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    problem: str
-    seed: int
+    problem: str | None = None
+    seed: int | None = None
     scheme: str | None = None
     grid: list[tuple[int, int]] | None = None
     replications: int | None = None
@@ -62,9 +62,6 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-        missing = [k for k in ("problem", "seed") if k not in raw]
-        if missing:
-            raise ConfigError(f"missing required config field(s): {', '.join(missing)}")
         for name in ("problem", "output_path"):
             if not isinstance(raw.get(name, ""), str):
                 raise ConfigError(f"field {name!r} must be a string")
@@ -94,7 +91,7 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse a config file, or pull the config block out of a result file."""
+    """Parse a config file, or pull the config block out of a result file, and check its output path."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -109,7 +106,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
     if "rows" in raw and isinstance(raw.get("config"), dict):
         raw = raw["config"]
-    return ExperimentConfig.from_dict(raw)
+    config = ExperimentConfig.from_dict(raw)
+    if config.output_path is not None:
+        _check_output_dir(config.output_path)
+    return config
 
 
 def _check_output_dir(path: str) -> None:
@@ -121,21 +121,20 @@ def _check_output_dir(path: str) -> None:
         raise ConfigError(f"output directory {directory} does not exist or is not writable")
 
 
+def _require(config: ExperimentConfig, command: str, *names: str) -> None:
+    """Fail before any compute on the first of ``names`` that ``config`` lacks."""
+    for name in names:
+        if getattr(config, name) is None:
+            raise ConfigError(f"{command!r} requires config field {name!r}")
+
+
 def _fmt(x: float | None) -> str:
     return f"{'-':>12}" if x is None else f"{x:>12.6g}"
 
 
 def cmd_run(config_path: str, threads: int = 1) -> int:
     config = load_config(config_path)
-    for name, value in (
-        ("scheme", config.scheme),
-        ("grid", config.grid),
-        ("replications", config.replications),
-        ("output_path", config.output_path),
-    ):
-        if value is None:
-            raise ConfigError(f"'run' requires config field {name!r}")
-    _check_output_dir(config.output_path)
+    _require(config, "run", "problem", "seed", "scheme", "grid", "replications", "output_path")
     problem = builtin(config.problem)
 
     error = None
@@ -174,12 +173,9 @@ def cmd_run(config_path: str, threads: int = 1) -> int:
 
 def cmd_schedule(config_path: str) -> int:
     config = load_config(config_path)
-    if config.epsilon_list is None:
-        raise ConfigError("'schedule' requires config field 'epsilon_list'")
+    _require(config, "schedule", "problem", "seed", "epsilon_list")
     if config.format != "csv":
         raise ConfigError(f"field 'format': 'schedule' writes CSV only, got {config.format!r}")
-    if config.output_path is not None:
-        _check_output_dir(config.output_path)
     problem = builtin(config.problem)
     inputs = BoundInputs.from_problem(problem)
 

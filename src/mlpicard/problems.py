@@ -80,6 +80,8 @@ class ExpectationOdeProblem:
     drift_batch: Callable[[np.ndarray, Any], np.ndarray] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"name must be a str, got {type(self.name).__name__}")
         _check_int(self.dim, "dim", 1)
         if (self.sample_z_batch is None) != (self.drift_batch is None):
             missing = "sample_z_batch" if self.sample_z_batch is None else "drift_batch"
@@ -88,6 +90,8 @@ class ExpectationOdeProblem:
         xi = np.asarray(self.xi, dtype=np.float64)
         if xi.shape != (self.dim,):
             raise ValueError(f"xi must have shape ({self.dim},), got {xi.shape}")
+        if not np.all(np.isfinite(xi)):
+            raise ValueError(f"xi must be finite, got {xi.tolist()}")
         xi.setflags(write=False)
         object.__setattr__(self, "xi", xi)
 

@@ -3,9 +3,12 @@
 ``estimate_scalar`` and ``euler_scalar`` are the estimator recursion and
 the Euler loop written out one draw at a time with plain sequential
 accumulation, kept apart from the package so that engine tests compare two
-implementations rather than one engine with itself.  ``mix64_np`` and
-``gaussian_from_words`` are the draw transform written with fresh arrays
-and the unfolded constants, the reference for the in-place kernel.
+implementations rather than one engine with itself.  With ``chunk`` set,
+their fresh-draw sums group the draws into runs of that many, as the batch
+entries do; the tests pass the frozen chunk sizes as literals.
+``mix64_np`` and ``gaussian_from_words`` are the draw transform written
+with fresh arrays and the unfolded constants, the reference for the
+in-place kernel.
 ``refusing_problem`` raises from every callable, for tests that an entry
 refuses its input before it runs anything.
 """
@@ -37,7 +40,25 @@ def gaussian_from_words(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
-def estimate_scalar(problem, n, m, t, stream, ledger):
+def _draw_sum(problem, x, stream, count, chunk=None):
+    """Sum of drift(x, Z_k) over k = 1..count, Z_k drawn on ``stream.spawn(k)``.
+
+    Without ``chunk``, one draw at a time from +0.0.  With it, each run of
+    ``chunk`` draws is summed one draw at a time from +0.0, and the run sums
+    are added in order to a +0.0 total.
+    """
+    total = np.zeros(problem.dim)
+    for k0 in range(1, count + 1, chunk or count):
+        acc = np.zeros(problem.dim)
+        for k in range(k0, min(k0 + (chunk or count), count + 1)):
+            acc = acc + problem.drift(x, problem.sample_z(stream.spawn(k)))
+        total = acc if chunk is None else total + acc
+    return total
+
+
+def estimate_scalar(problem, n, m, t, stream, ledger, chunk=None):
+    """One realization, fresh draws summed by ``_draw_sum`` with ``chunk``;
+    the level sums add one coupled difference at a time."""
     xi = problem.xi
     if n == 0:
         return xi.copy()
@@ -45,12 +66,8 @@ def estimate_scalar(problem, n, m, t, stream, ledger):
     drift = problem.drift
     sample_z = problem.sample_z
 
-    base = stream.spawn(0)
-    acc = np.zeros(problem.dim)
-    for k in range(1, m**n + 1):
-        z = sample_z(base.spawn(k))
-        acc = acc + drift(xi, z)
     count = m**n
+    acc = _draw_sum(problem, xi, stream.spawn(0), count, chunk)
     ledger.z_draws += count
     out = xi + (t / count) * acc
 
@@ -63,8 +80,8 @@ def estimate_scalar(problem, n, m, t, stream, ledger):
             r = node.next_uniform()
             z = sample_z(node)
             s = r * t
-            a = estimate_scalar(problem, l, m, s, node, ledger)
-            b = estimate_scalar(problem, l - 1, m, s, level.spawn(-k), ledger)
+            a = estimate_scalar(problem, l, m, s, node, ledger, chunk)
+            b = estimate_scalar(problem, l - 1, m, s, level.spawn(-k), ledger, chunk)
             acc = acc + (drift(a, z) - drift(b, z))
         ledger.uniform_draws += width
         ledger.z_draws += width
@@ -72,16 +89,12 @@ def estimate_scalar(problem, n, m, t, stream, ledger):
     return out
 
 
-def euler_scalar(problem, K, M, stream, ledger=None):
+def euler_scalar(problem, K, M, stream, ledger=None, chunk=None):
+    """One Euler realization, node sums taken by ``_draw_sum`` with ``chunk``."""
     h = problem.horizon / K
     y = problem.xi.copy()
     for j in range(K):
-        node = stream.spawn(j)
-        acc = np.zeros(problem.dim)
-        for i in range(1, M + 1):
-            z = problem.sample_z(node.spawn(i))
-            acc = acc + problem.drift(y, z)
-        y = y + (h / M) * acc
+        y = y + (h / M) * _draw_sum(problem, y, stream.spawn(j), M, chunk)
     if ledger is not None:
         ledger.z_draws += K * M
     return y

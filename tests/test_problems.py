@@ -196,6 +196,26 @@ def test_register_problem_guards():
         _REGISTRY.pop("degenerate_zero", None)
 
 
+@pytest.mark.parametrize(
+    "changes,error,field",
+    [({"name": 5}, TypeError, "name"), ({"xi": [math.inf]}, ValueError, "xi"), ({"xi": [math.nan]}, ValueError, "xi")],
+    ids=["name-int", "xi-inf", "xi-nan"],
+)
+def test_problem_refuses_a_name_that_is_not_a_string_and_an_xi_that_is_not_finite(changes, error, field):
+    # An int name breaks the sorted registry; a non-finite xi runs a whole
+    # row to nan.  Both are refused when the problem is built.
+    from mlpicard.problems import _REGISTRY
+
+    names = problem_names()
+    try:
+        with pytest.raises(error, match=field):
+            register_problem(dataclasses.replace(builtin("linear_meanfield"), **{"name": "refused", **changes}))
+        assert problem_names() == names
+    finally:
+        for key in set(_REGISTRY) - set(names):
+            _REGISTRY.pop(key)
+
+
 def test_xi_is_immutable():
     p = builtin("pure_noise")
     with pytest.raises(ValueError):
