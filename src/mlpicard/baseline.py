@@ -105,7 +105,8 @@ def reference_solve(problem: ExpectationOdeProblem, t: float) -> np.ndarray:
     4th-order Runge-Kutta with fixed step ``_RK4_STEP`` on
     ``x' = exact_mean_drift(x)``, with one final shortened step to land
     exactly on ``t``.  Raises ``ValueError`` naming the hook unless the
-    result has shape ``(dim,)``.
+    result has shape ``(dim,)``, and ``exact_mean_drift(xi)`` too, before
+    any step.
     """
     t = _check_real(t, "t", 0.0, problem.horizon)
     if problem.closed_form is not None:
@@ -117,12 +118,14 @@ def reference_solve(problem: ExpectationOdeProblem, t: float) -> np.ndarray:
         )
     else:
         hook, g = "exact_mean_drift", problem.exact_mean_drift
-        x = problem.xi.copy()
-        nfull, rem = divmod(t, _RK4_STEP)
-        for _ in range(int(nfull)):
-            x = _rk4_step(g, x, _RK4_STEP)
-        if rem > 0.0:
-            x = _rk4_step(g, x, rem)
+        x = np.asarray(g(problem.xi), dtype=np.float64)
+        if x.shape == (problem.dim,):  # else refused below, before any step
+            x = problem.xi.copy()
+            nfull, rem = divmod(t, _RK4_STEP)
+            for _ in range(int(nfull)):
+                x = _rk4_step(g, x, _RK4_STEP)
+            if rem > 0.0:
+                x = _rk4_step(g, x, rem)
     if x.shape != (problem.dim,):
         raise ValueError(
             f"problem {problem.name!r}: {hook} gives a reference of shape {x.shape}, not ({problem.dim},)"

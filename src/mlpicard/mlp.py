@@ -41,10 +41,7 @@ the sub-blocks in which a fresh-draw chunk is walked, each have an
 element budget (see ``_DRAW_BLOCK``) and share one carried chain
 (``_chain_sum``): each block's terms follow the running sum, which starts
 at a float64 zero row, so blocking never regroups additions and the
-temporaries stay bounded however large ``m**n``.  The draw kernel's
-temporaries, a sub-block's keys and the carried chain live in the
-per-thread scratch of :mod:`mlpicard.rng`, so repeated draws reuse their
-memory.
+temporaries stay bounded however large ``m**n``.
 """
 
 from __future__ import annotations
@@ -57,8 +54,7 @@ from functools import partial
 import numpy as np
 
 from .problems import ExpectationOdeProblem, _as_batch
-from .rng import _CHAIN, SplittableStream, StreamBundle, _check_int, _check_real, _lane_bundle, _leaf_block
-from .rng import _scratch_array, _spawn_block
+from .rng import SplittableStream, StreamBundle, _check_int, _check_real, _lane_bundle, _spawn_block
 
 __all__ = [
     "CostLedger",
@@ -74,10 +70,9 @@ __all__ = [
 _BASE_CHUNK = 512
 
 # Element budgets of a bundle's blocks, in lane-dim elements.  A fresh-draw
-# sub-block (one hook call) takes _DRAW_BLOCK on every thread: its
-# temporaries live in reused per-thread scratch, so a large block costs no
-# heap churn.  Of 2^14, 2^15 and 2^16, 2^15 was the fastest within noise
-# on one thread and on two, and 2^16 raised peak RSS by 11%.
+# sub-block (one hook call) takes _DRAW_BLOCK on every thread.  Of 2^14,
+# 2^15 and 2^16, 2^15 was the fastest within noise on one thread and on
+# two, and 2^16 raised peak RSS by 11%.
 # A node block keeps the arrays of its whole descent alive, so it takes
 # less: _NODE_BLOCK on the main thread and _WORKER_NODE_BLOCK off it.  In a
 # worker every numpy call hands the GIL to a sibling thread and takes it
@@ -247,16 +242,14 @@ def _draw_sum(problem, x, stream, count, chunk, ledger):
     draw at a time if ``chunk >= count``) and adds the chunk sums in
     ascending order.  It walks a chunk with ``_chain_sum`` in sub-blocks of
     at most ``_DRAW_BLOCK`` lane-dim elements, so the chain of additions,
-    and every rounding, is the same as for one call per chunk.  A
-    sub-block's keys live in scratch, valid for its one ``sample_z_batch``
-    call.
+    and every rounding, is the same as for one call per chunk.
     """
     acc = np.zeros(stream.shape + (problem.dim,))
     zero = np.zeros_like(acc)
     rows = _block_rows(acc.size, _DRAW_BLOCK)
 
     def terms(ks):
-        return problem.drift_batch(x, problem.sample_z_batch(_leaf_block(stream, ks)))
+        return problem.drift_batch(x, problem.sample_z_batch(_spawn_block(stream, ks)))
 
     for k0 in range(1, count + 1, chunk):
         acc += _chain_sum(terms, k0, min(k0 + chunk, count + 1), rows, zero)
@@ -285,12 +278,7 @@ def _chain_sum(terms, k0, k1, rows, part):
     """
     for j0 in range(k0, k1, rows):
         block = terms(np.arange(j0, min(j0 + rows, k1)))
-        # Filled only once terms() has returned: node blocks nest, so
-        # terms() runs chains of its own on this thread's scratch.
-        chain = _scratch_array(_CHAIN, (len(block) + 1,) + part.shape, np.result_type(part, block))
-        chain[0] = part
-        chain[1:] = block
-        part = _ascending_sum(chain)
+        part = _ascending_sum(np.concatenate((part[None], block)))
     return part
 
 

@@ -22,13 +22,10 @@ exactly the pattern ``sample_z`` uses on a
 :class:`~mlpicard.rng.SplittableStream`; ``drift_batch`` receives states
 whose shape is a suffix of (*lanes, dim), such as (dim,), and the batch
 Z payload of lane shape ``lanes``, and must return shape (*lanes, dim).
-:func:`register_problem` checks this (see :func:`check_problem`).  A batch
-hook must not keep the bundle it is handed past the call: its keys may
-live in per-thread scratch that the next draw on the thread overwrites
-(see :mod:`mlpicard.rng`).  The arrays its draws return are fresh and may
-be kept.  Without batch hooks, every entry (``mlp_estimate``, ``mc_euler``,
-their ``*_batch`` forms and so the experiment harness) still makes one
-engine call per bundle, and runs the scalar hooks lane by lane,
+:func:`register_problem` checks this (see :func:`check_problem`).  Without
+batch hooks, every entry (``mlp_estimate``, ``mc_euler``, their
+``*_batch`` forms and so the experiment harness) still makes one engine
+call per bundle, and runs the scalar hooks lane by lane,
 ``sample_z`` on a stream rebuilt from the lane's key at the bundle's
 counter (``seed`` and ``path`` are ``None``).  Only the counter on entry
 matters, as an MLP node draws ``r``, then Z, then only spawns, and a
@@ -260,7 +257,6 @@ def _linear_meanfield() -> ExpectationOdeProblem:
         f_xi_second_moment=2.0,
         exact_mean_drift=lambda x: 1.0 - x,
         closed_form=lambda t: np.array([-np.expm1(-float(t))]),
-        # Not ``g += 1.0`` in place: the same bits, but it made glibc trim and refault the heap.
         sample_z_batch=lambda bundle: 1.0 + bundle.next_gaussian(),
         drift_batch=lambda x, z: np.asarray(z)[..., None] - x,
     )

@@ -140,8 +140,8 @@ def test_draw_budget_never_changes_bits(monkeypatch, name, budget):
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_worker_thread_gives_the_same_bits(name):
-    # A pool worker draws on its own scratch; at 40 lanes a 4096-draw chunk
-    # spans several sub-blocks and M = 5000 crosses a chunk boundary.
+    # A pool worker gives the main thread's bits; at 40 lanes a 4096-draw
+    # chunk spans several sub-blocks and M = 5000 crosses a chunk boundary.
     p = named_problem(name)
 
     def run():
@@ -240,6 +240,26 @@ def test_reference_of_the_wrong_shape_is_refused_before_any_draw(hook):
         reference_solve(dataclasses.replace(builtin("linear_meanfield"), **wrong), 1.0)
     with pytest.raises(ValueError, match=message):
         rmse_experiment(dataclasses.replace(refusing_problem(), **wrong), "mlp", [(1, 1)], 2, SEED)
+
+
+@pytest.mark.parametrize("dim,drift_dim", [(3, 1), (1, 3), (3, 2)])
+def test_mean_drift_of_the_wrong_shape_is_refused_before_any_step(dim, drift_dim):
+    # A (1,) drift on a 3-D problem broadcasts into a wrong reference, a
+    # (3,) one on a 1-D problem would run every RK4 step first, and a (2,)
+    # one on a 3-D problem does not broadcast at all.  Each is refused at
+    # its first call, naming the hook.
+    calls = []
+
+    def drift(x):
+        calls.append(x)
+        return np.ones(drift_dim)
+
+    p = dataclasses.replace(
+        builtin("linear_meanfield"), dim=dim, xi=np.zeros(dim), closed_form=None, exact_mean_drift=drift
+    )
+    with pytest.raises(ValueError, match=rf"exact_mean_drift gives a reference of shape \({drift_dim},\), not \({dim},\)"):
+        reference_solve(p, 1.0)
+    assert len(calls) == 1
 
 
 def test_reference_time_validation():

@@ -3,14 +3,17 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from mlpicard import mlp, rng
+from mlpicard import mlp
 from mlpicard.mlp import (
     CostLedger,
     mlp_estimate,
@@ -393,7 +396,7 @@ def test_worker_thread_gives_the_same_bits(name):
     # Off the main thread a bundle draws larger node blocks: at 300 lanes the
     # main thread splits the levels of (2, 30) and (3, 6) into node blocks,
     # a worker does not.  Fresh-draw sub-blocks have one budget on every
-    # thread, so (1, 600) checks the worker's own scratch.  Every 8th
+    # thread, so (1, 600) checks that budget in a worker.  Every 8th
     # sampled lane matches the oracle summed in 512-draw chunks.
     p = named_problem(name)
     for n, m, nlanes in ((1, 600, 200), (2, 30, 300), (3, 6, 300)):
@@ -431,8 +434,8 @@ def test_block_budgets_never_change_bits(monkeypatch, name, budget):
 
 def test_pure_noise_keeps_its_gaussians_across_nested_draws():
     # pure_noise's batch sampler returns the Gaussian itself as Z, and a
-    # coupled term holds that Z across the nested recursions, which draw on
-    # the same thread's scratch.
+    # coupled term holds that Z across the nested recursions, which draw
+    # more Gaussians on the same thread.
     p = builtin("pure_noise")
     lanes = np.arange(1, 301)
     out = mlp_estimate_batch(p, 3, 3, 1.0, StreamBundle.root_children(SEED, lanes), CostLedger())
@@ -441,8 +444,8 @@ def test_pure_noise_keeps_its_gaussians_across_nested_draws():
 
 
 def test_threads_drawing_at_once_give_the_same_bits():
-    # Each thread has its own scratch: four pool threads switching every
-    # 10 microseconds must give the bits of one thread drawing alone.
+    # Four pool threads switching every 10 microseconds must give the bits
+    # of one thread drawing alone.
     jobs = [(name, n, m, SEED + k) for k, (n, m) in enumerate(((1, 600), (2, 30), (3, 6), (4, 3)))
             for name in ("linear_meanfield", "planar_rotation")]
 
@@ -465,25 +468,27 @@ def test_threads_drawing_at_once_give_the_same_bits():
         _assert_same_bits(got, want)
 
 
-def test_repeated_draw_sums_reuse_the_scratch():
-    # The heap-churn guard: once a thread has drawn a sum, an identical one
-    # allocates no new scratch buffer, and none outgrows the cap however
-    # large a request.
-    p = builtin("linear_meanfield")
-    bundle = StreamBundle.root_children(SEED, np.arange(1, 1001))
+_FAULT_PROBE = """
+import resource
+from mlpicard import builtin, rmse_experiment
 
-    def draw_sum():
-        return mlp._draw_sum(p, p.xi, bundle.spawn(0), 1000, mlp._BASE_CHUNK, CostLedger())
+problem = builtin("linear_meanfield")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rmse_experiment(problem, "mc_euler", [(10, 1600)], 1000, 12345)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
-    first = draw_sum()
-    before = dict(rng._scratch.__dict__)
-    assert {rng._SHIFT, rng._WORDS, rng._LEAF_KEYS, rng._CHAIN} <= before.keys()
-    _assert_same_bits(draw_sum(), first)
-    after = rng._scratch.__dict__
-    assert after.keys() == before.keys()
-    assert all(after[slot] is buf for slot, buf in before.items())
-    root(1).gaussians(10**6)
-    assert all(buf.nbytes <= rng._SCRATCH_MAX_BYTES for buf in after.values())
+
+def test_a_fresh_process_draws_without_heap_churn():
+    # The heap-churn guard.  In a fresh process glibc's mmap and trim
+    # thresholds start low, so without the heap warm-up in mlpicard.rng
+    # every freed draw temporary goes back to the OS and is faulted in
+    # again: about 109,000 minor faults on this row, against about 360
+    # with it, over several heap layouts.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5000
 
 
 # SHA-256 of the little-endian estimates before MLP levels were drawn in

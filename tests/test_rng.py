@@ -237,10 +237,9 @@ def test_bundle_spawn_block_layout():
     assert np.array_equal(grid.keys[0], bundle.keys)
 
 
-def test_returned_arrays_never_share_the_scratch():
-    # Kernel temporaries live in per-thread scratch; every array a public
-    # method returns must be fresh, and stay unchanged by later draws of
-    # every kind on the same thread.
+def test_returned_arrays_stay_unchanged_by_later_draws():
+    # Every array a public method returns must be fresh, and stay unchanged
+    # by later draws of every kind on the same thread.
     bundle = StreamBundle.root_children(7, np.arange(1, 301))
     stream = root(7).spawn(3)
 
@@ -260,11 +259,8 @@ def test_returned_arrays_never_share_the_scratch():
     kept = [a.copy() for a in first]
     draw_everything()
     mlp_estimate_batch(builtin("linear_meanfield"), 3, 4, 1.0, bundle.spawn(5), CostLedger())
-    scratch = list(rng._scratch.__dict__.values())
-    assert scratch
     for got, want in zip(first, kept):
         assert np.array_equal(got, want)
-        assert not any(np.shares_memory(got, buf) for buf in scratch)
 
 
 def test_stream_repr_and_equality():
