@@ -146,9 +146,9 @@ def _words_np(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
 
 
 def _top53(words: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each word as a fresh float64 array.  The shifted
-    words are below 2^53, so converting their int64 view is exact (and
-    faster than uint64)."""
+    """The top 53 bits of each word as a fresh float64 array, 0-d words
+    too (hence ``out=``).  The shifted words are below 2^53, so converting
+    their int64 view is exact (and faster than uint64)."""
     top = np.right_shift(words, _SH11, out=np.empty(words.shape, np.uint64))
     return top.view(np.int64).astype(np.float64)
 
