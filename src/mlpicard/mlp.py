@@ -70,18 +70,16 @@ __all__ = [
 _BASE_CHUNK = 512
 
 # Element budgets of a bundle's blocks, in lane-dim elements.  A fresh-draw
-# sub-block (one hook call) takes _DRAW_BLOCK on every thread.  Of 2^14,
-# 2^15 and 2^16, 2^15 was the fastest within noise on one thread and on
-# two, and 2^16 raised peak RSS by 11%.
-# A node block keeps the arrays of its whole descent alive, so it takes
-# less: _NODE_BLOCK on the main thread and _WORKER_NODE_BLOCK off it.  In a
-# worker every numpy call hands the GIL to a sibling thread and takes it
-# back, and only calls this long amortise the hand-off.  Blocks never
-# regroup additions (see ``_chain_sum``), so unlike the chunk sizes these
-# may depend on the lane width and the thread.
+# sub-block (one hook call) takes _DRAW_BLOCK: of 2^14, 2^15 and 2^16, 2^15
+# was the fastest within noise on one thread and on two, and 2^16 raised
+# peak RSS by 11%.  A node block keeps its whole descent alive, so on the
+# main thread it takes _NODE_BLOCK (2^15 raised peak RSS by 9%).  Off it,
+# each numpy call hands the GIL to a sibling, so it takes _DRAW_BLOCK (2^13
+# was 13% slower on two threads; 2^16 no faster, 31% more RSS).  Blocks
+# never regroup additions (see ``_chain_sum``), so unlike the chunk sizes
+# these may depend on the lane width and the thread.
 _DRAW_BLOCK = 1 << 15
 _NODE_BLOCK = 1 << 13
-_WORKER_NODE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -265,9 +263,9 @@ def _block_rows(row_size, budget):
 
 def _node_budget():
     """The node-block budget: ``_NODE_BLOCK`` elements on the main thread,
-    ``_WORKER_NODE_BLOCK`` off it."""
+    where peak RSS binds, ``_DRAW_BLOCK`` off it, where the GIL hand-off does."""
     main = threading.current_thread() is threading.main_thread()
-    return _NODE_BLOCK if main else _WORKER_NODE_BLOCK
+    return _NODE_BLOCK if main else _DRAW_BLOCK
 
 
 def _chain_sum(terms, k0, k1, rows, part):

@@ -39,6 +39,7 @@ Every error a hook raises there is a ``ValueError`` that names the hook.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -138,13 +139,19 @@ def check_problem(problem: ExpectationOdeProblem) -> None:
     shape (2, 3, dim) (an MLP node block).  NaN equals NaN: a drift may be
     non-finite.  Raises ``ValueError`` naming the hook; the scalar hooks run
     first.  Without batch hooks both sides run the lane-by-lane hooks.
+    Row 0 of the (2, 3) lanes draws the Z of the three ``xi`` lanes, so the
+    same drifts, at no extra draw, can refute the declared ``lipschitz``: a
+    ratio ``||F(x, z) - F(xi, z)|| / ||x - xi||`` above it by more than a
+    few ulps of the drift values is a ``ValueError`` naming ``lipschitz``.
     """
     scalar = _as_batch(dataclasses.replace(problem, sample_z_batch=None, drift_batch=None))
     keys = StreamBundle.root_children(0, [[1, 2, 3], [4, 5, 6]]).keys
     states = problem.xi + np.arange(1, 7).reshape(2, 3, 1) / 8  # one exact offset per lane
     cases = ((problem.xi, keys[0], 0), (problem.xi, keys[0], 1), (states[0], keys, 0), (states, keys, 1))
+    drifts = []
     for x, lanes, counter in cases:
         want = _run_hooks(scalar, ("sample_z", "drift"), x, lanes, counter)
+        drifts.append(want)
         got = _run_hooks(_as_batch(problem), ("sample_z_batch", "drift_batch"), x, lanes, counter)
         if got.shape != lanes.shape + (problem.dim,):
             raise ValueError(
@@ -157,6 +164,26 @@ def check_problem(problem: ExpectationOdeProblem) -> None:
                 f"problem {problem.name!r}: sample_z_batch and drift_batch on lanes {lanes.shape} at counter "
                 f"{counter} give {got.tolist()}, but sample_z and drift give {want.tolist()}"
             )
+    # Row 0 of cases 3 and 4 draws the Z of cases 1 and 2, at states other than xi.
+    for at_xi, at_x in ((drifts[0], drifts[2][0]), (drifts[1], drifts[3][0])):
+        _refute_lipschitz(problem, states[0] - problem.xi, at_xi, at_x)
+
+
+def _refute_lipschitz(problem, dx, at_xi, at_x):
+    """Raise a ``ValueError`` naming ``lipschitz`` if, on some lane,
+    ``||F(x, z) - F(xi, z)||`` exceeds ``lipschitz * ||x - xi||`` by more than
+    a few ulps of the drift values.  A NaN difference refutes nothing."""
+    norm = partial(np.linalg.norm, axis=-1)
+    with np.errstate(all="ignore"):  # non-finite drifts are allowed
+        gap, step = norm(at_x - at_xi), norm(dx)
+        bound = problem.lipschitz * step
+        over = gap - bound > 8 * np.finfo(np.float64).eps * (norm(at_x) + norm(at_xi) + bound)
+        ratio = gap / step
+    if np.any(over):
+        raise ValueError(
+            f"problem {problem.name!r}: lipschitz = {problem.lipschitz} is refuted: at one Z, "
+            f"||F(x, z) - F(xi, z)|| / ||x - xi|| reaches {np.max(ratio[over])}"
+        )
 
 
 def _run_hooks(view, labels, x, lanes, counter):

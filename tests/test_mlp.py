@@ -420,7 +420,7 @@ def test_block_budgets_never_change_bits(monkeypatch, name, budget):
     # into many blocks (at 1 lane and at 5, in 1-D and 2-D), so the carried
     # chain runs at every block boundary.  Any budget must give the oracle's
     # bits.
-    for constant in ("_DRAW_BLOCK", "_NODE_BLOCK", "_WORKER_NODE_BLOCK"):
+    for constant in ("_DRAW_BLOCK", "_NODE_BLOCK"):
         monkeypatch.setattr(mlp, constant, budget)
     p = named_problem(name)
     lanes = np.arange(1, 6)
@@ -489,6 +489,35 @@ def test_a_fresh_process_draws_without_heap_churn():
     proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 5000
+
+
+_RSS_PROBE = """
+import re
+from mlpicard import builtin, rmse_experiment
+
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+
+
+problem = builtin("linear_meanfield")
+before = peak_kib()
+rmse_experiment(problem, "mlp", [(5, 5)], 1000, 12345, threads=2)
+print((peak_kib() - before) // 1024)
+"""
+
+
+def test_two_threads_draw_in_bounded_node_blocks():
+    # The memory guard for worker threads.  A node block keeps its whole
+    # descent alive, so its budget bounds the peak: at the fresh-draw budget
+    # this row's peak RSS grows by about 12 MiB, and at a 2^16 worker budget
+    # by about 28 MiB.  The probe reads VmHWM, the peak of its own address
+    # space: ru_maxrss would start at the peak of the process that ran it.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 20
 
 
 # SHA-256 of the little-endian estimates before MLP levels were drawn in

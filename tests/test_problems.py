@@ -324,6 +324,29 @@ def test_check_problem_allows_non_finite_drifts():
     )
 
 
+def test_check_problem_refutes_a_lipschitz_constant_too_small():
+    # F = z - x moves by exactly |x - xi| against one Z, twice the declared
+    # 0.5; the built-ins and planar_rotation, which attain their constant up
+    # to the rounding of z - x, pass (test_check_problem_accepts_consistent_hooks).
+    p = dataclasses.replace(builtin("linear_meanfield"), name="lipschitz_too_small", lipschitz=0.5)
+    for problem in (p, _scalar_only(p)):
+        with pytest.raises(ValueError, match=r"lipschitz = 0.5 is refuted.* reaches 1\.0"):
+            check_problem(problem)
+    with pytest.raises(ValueError, match="lipschitz"):
+        register_problem(p)
+    assert "lipschitz_too_small" not in problem_names()
+
+
+def test_a_nan_drift_difference_refutes_no_lipschitz_constant():
+    lin = builtin("linear_meanfield")
+    nan_off_xi = _scalar_only(
+        lin,
+        lipschitz=0.0,
+        drift=lambda x, z: lin.drift(x, z) if np.array_equal(x, lin.xi) else np.array([math.nan]),
+    )
+    check_problem(nan_off_xi)
+
+
 @pytest.mark.parametrize(
     "changes,hook",
     [

@@ -160,6 +160,32 @@ def test_draw_kernel_matches_fresh_array_oracle_on_edge_words():
     assert np.array_equal(rng._mix64_np(edge.copy()), oracle.mix64_np(edge))
 
 
+# Inputs whose float64 log numpy 2.4.6 rounds differently in its AVX-512
+# loop and in its baseline loop (671 of 200,000 uniforms on [0, 1) differ,
+# each by one ulp), with the AVX-512 bits, the loop every SHA pin was
+# computed with.
+LOG_KNOWN_ANSWERS = {
+    0x3FB2BE3AF3E6C8D0: 0xC004EA319E24F35F,  # 0.0732..., baseline ...F35E
+    0x3FCF7E2A6CF80E1C: 0xBFF66FB2E2E0D58E,  # 0.2460..., baseline ...D58D
+    0x3FDE565FA18A67B2: 0xBFE7E357FCEEACA0,  # 0.4740..., baseline ...ACA1
+    0x3FE20888BF16DD87: 0xBFE25A39AA6E2D79,  # 0.5635..., baseline ...2D78
+    0x3FEA4EAB9A7020C6: 0xBFC912E5C960E743,  # 0.8221..., baseline ...E744
+    0x3FEF988A989D7CEC: 0xBF8A0784830148ED,  # 0.9873..., baseline ...48EC
+}
+
+
+def test_float64_log_rounds_as_the_pins_assume():
+    # Box-Muller takes the log of every u1, so a host whose numpy rounds
+    # these inputs otherwise draws other Gaussians than the pins hold.
+    u = np.array(list(LOG_KNOWN_ANSWERS), dtype=np.uint64).view(np.float64)
+    got = np.log(u).view(np.uint64).tolist()
+    assert got == list(LOG_KNOWN_ANSWERS.values()), (
+        "numpy's float64 log rounds known inputs to other bits than its AVX-512 loop, with which every SHA pin "
+        "was computed: numpy picks its log loop at run time by the CPU's SIMD features (run-time SIMD dispatch; "
+        "see numpy.show_runtime()).  On this host the pin of raw estimates fails, and artifact bytes may differ"
+    )
+
+
 def test_stream_block_draws_match_oracle_through_strided_views():
     # gaussians() hands the kernel the even and odd words as strided views.
     s = root(31).spawn(4).spawn(-2)
