@@ -16,12 +16,11 @@ i = 1..M.  Fresh draws per node keep node errors independent.
 ``mc_euler_batch`` runs one realization per lane of a
 :class:`~mlpicard.rng.StreamBundle` for any problem; ``mc_euler`` runs its
 stream as a 1-lane bundle.  Both use one K-step loop.  The node average is
-the estimator's fresh-draw kernel: the batch entry sums it in fixed chunks
-of 4096 draws when the problem has batch hooks, and ``mc_euler`` (and the
-batch entry on a problem without them) one draw at a time, so per lane
-the two agree bit for bit up to M = 4096 and to rounding beyond.  The
-kernel draws each chunk in cache-sized sub-blocks that never regroup
-additions, so a node's draw temporaries stay bounded whatever M.
+the estimator's fresh-draw kernel, summed as ``mlp._chain_sum`` states: the
+batch entry in fixed runs of 4096 draws when the problem has batch hooks,
+and ``mc_euler`` (and the batch entry on a problem without them) one draw
+at a time, so per lane the two agree bit for bit up to M = 4096 and to
+rounding beyond.
 
 ``reference_solve`` provides the "truth" for RMSE measurements without
 statistical error: the closed form when the problem has one, otherwise
@@ -33,13 +32,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mlp import CostLedger, _draw_sum, _initial_state
+from .mlp import CostLedger, _draw_sum
 from .problems import ExpectationOdeProblem, _as_batch
 from .rng import SplittableStream, StreamBundle, _check_int, _check_real, _lane_bundle
 
 __all__ = ["NoReferenceError", "mc_euler", "mc_euler_batch", "reference_solve"]
 
-_DRAW_CHUNK = 4096  # per-node Z draws vectorised in fixed blocks
+_DRAW_CHUNK = 4096  # per-node Z draws summed in fixed runs
 _RK4_STEP = 1e-4  # reference_solve's RK4 step
 
 
@@ -90,9 +89,9 @@ def mc_euler_batch(
 
 
 def _euler(problem, K, M, bundle, ledger, chunk):
-    """The K-step Euler loop on every lane, node sums in chunks of ``chunk``."""
+    """The K-step Euler loop on every lane, node sums in runs of ``chunk``."""
     h = problem.horizon / K
-    y = _initial_state(problem, bundle.shape)
+    y = problem.xi  # the first step broadcasts it to the lanes
     for j in range(K):
         y = y + (h / M) * _draw_sum(problem, y, bundle.spawn(j), M, chunk, ledger)
     return y

@@ -26,27 +26,21 @@ every experiment rests on it.
 Cost accounting is exact, not an estimate: ``rv_exact`` evaluates the draw
 count recursion with equality, and the ledger recorded by one estimator
 call matches it draw for draw.  Summation order is fixed (base term first,
-then levels ascending, k ascending) so floating-point results are
-reproducible.
+then levels ascending, k ascending, each sum one carried chain, see
+``_chain_sum``) so floating-point results are reproducible.
 
 The one engine draws on :class:`~mlpicard.rng.StreamBundle` lanes.
-``mlp_estimate_batch`` serves any problem: it adds fresh draws in chunks
-of ``_BASE_CHUNK`` (see ``_draw_sum``) when the problem has batch hooks,
-and one at a time on every lane when it has not.  ``mlp_estimate`` runs
-its stream as a 1-lane bundle and adds one draw at a time.  A level's
-coupled nodes are drawn in node blocks: one ``_spawn_block`` call gives
-every node of a block as a new leading lane axis, and the A- and
-B-recursions run once per block on those wider bundles.  Node blocks, and
-the sub-blocks in which a fresh-draw chunk is walked, each have an
-element budget (see ``_DRAW_BLOCK``) and share one carried chain
-(``_chain_sum``): each block's terms follow the running sum, which starts
-at a float64 zero row, so blocking never regroups additions and the
-temporaries stay bounded however large ``m**n``.
+``mlp_estimate_batch`` serves any problem: it adds fresh draws in runs of
+``_BASE_CHUNK`` when the problem has batch hooks, and one at a time on
+every lane when it has not.  ``mlp_estimate`` runs its stream as a 1-lane
+bundle and adds one draw at a time.  A level's coupled nodes are drawn in
+node blocks: one ``_spawn_block`` call gives every node of a block as a
+new leading lane axis, and the A- and B-recursions run once per block on
+those wider bundles.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -64,7 +58,7 @@ __all__ = [
     "rv_exact",
 ]
 
-# Base-term draws are vectorised over k in blocks of this many indices.
+# Base-term draws are summed over k in runs of this many indices.
 # Fixed (never derived from batch width or thread count) so that chunk
 # boundaries, and with them every rounding decision, depend only on (n, m).
 _BASE_CHUNK = 512
@@ -186,38 +180,34 @@ def _check_entry(problem, n, m, t, lanes):
 
 def _estimate(problem, n, m, t, bundle, ledger, chunk):
     """One level-``n`` realization per lane of ``t``, shape ``(*lanes, dim)``,
-    fresh draws summed in chunks of ``chunk``.  A level's coupled differences
-    are added in node blocks, carrying the running sum ``0 + d_1 + d_2 +
-    ...`` from block to block.  ``bundle`` is unused at ``n == 0``."""
+    fresh draws summed in runs of ``chunk``.  ``bundle`` is unused at
+    ``n == 0``."""
     lanes = t.shape
     if n == 0:
-        return _initial_state(problem, lanes)
+        return np.broadcast_to(problem.xi, lanes + (problem.dim,)).copy()
     t_col = t[..., None]  # per-lane time against (*lanes, dim)
 
     count = m**n
     acc = _draw_sum(problem, problem.xi, bundle.spawn(0), count, chunk, ledger)
     out = problem.xi + (t_col / count) * acc
 
-    nlanes = math.prod(lanes)
     for l in range(1, n):
         width = m ** (n - l)
         terms = partial(_coupled_terms, problem, l, m, t, bundle.spawn(l), ledger, chunk)
-        acc = np.zeros(lanes + (problem.dim,))
-        acc = _chain_sum(terms, 1, width + 1, _block_rows(acc.size, _node_budget()), acc)
-        ledger.uniform_draws += width * nlanes
-        ledger.z_draws += width * nlanes
-        out = out + (t_col / width) * acc
+        out = out + (t_col / width) * _chain_sum(terms, width, width, _node_budget(), out.shape)
     return out
 
 
 def _coupled_terms(problem, l, m, t, level, ledger, chunk, ks):
     """``F(A_k, Z_k) - F(B_k, Z_k)`` for a block ``ks`` of node indices of
     the level bundle ``level``, shape ``(len(ks), *lanes, dim)``: one A- and
-    one B-recursion for the whole block.  A level-1 B is ``xi`` itself,
-    which draws nothing and which the drift broadcasts, as in the base
-    term.  ``r`` and ``F(A, Z)`` are taken early, so a descent keeps fewer
-    arrays alive."""
+    one B-recursion for the whole block, one time and one Z draw per node
+    and lane.  A level-1 B is ``xi`` itself, which draws nothing and which
+    the drift broadcasts, as in the base term.  ``r`` and ``F(A, Z)`` are
+    taken early, so a descent keeps fewer arrays alive."""
     nodes = _spawn_block(level, ks)
+    ledger.uniform_draws += nodes.keys.size
+    ledger.z_draws += nodes.keys.size
     s = nodes.next_uniform() * t
     z = problem.sample_z_batch(nodes)
     fa = problem.drift_batch(_estimate(problem, l, m, s, nodes, ledger, chunk), z)
@@ -225,40 +215,21 @@ def _coupled_terms(problem, l, m, t, level, ledger, chunk, ks):
     return fa - problem.drift_batch(b, z)
 
 
-def _initial_state(problem, lanes):
-    """A fresh copy of ``xi`` for every lane, shape ``(*lanes, dim)``."""
-    return np.broadcast_to(problem.xi, lanes + (problem.dim,)).copy()
-
-
 def _draw_sum(problem, x, stream, count, chunk, ledger):
     """Sum of F(x, Z_k) over k = 1..count, Z_k drawn on ``stream.spawn(k)``
-    for every lane of the bundle ``stream``.
+    for every lane of the bundle ``stream``, in runs of ``chunk`` (one draw
+    at a time if ``chunk >= count``).
 
     The fresh-draw kernel behind both the MLP base term and the Euler node
-    average; records ``count`` draws per lane in ``ledger``.  It sums each
-    run of ``chunk`` indices in ascending k from a float64 zero row (one
-    draw at a time if ``chunk >= count``) and adds the chunk sums in
-    ascending order.  It walks a chunk with ``_chain_sum`` in sub-blocks of
-    at most ``_DRAW_BLOCK`` lane-dim elements, so the chain of additions,
-    and every rounding, is the same as for one call per chunk.
+    average; records one draw per index and lane in ``ledger``.
     """
-    acc = np.zeros(stream.shape + (problem.dim,))
-    zero = np.zeros_like(acc)
-    rows = _block_rows(acc.size, _DRAW_BLOCK)
 
     def terms(ks):
-        return problem.drift_batch(x, problem.sample_z_batch(_spawn_block(stream, ks)))
+        nodes = _spawn_block(stream, ks)
+        ledger.z_draws += nodes.keys.size
+        return problem.drift_batch(x, problem.sample_z_batch(nodes))
 
-    for k0 in range(1, count + 1, chunk):
-        acc += _chain_sum(terms, k0, min(k0 + chunk, count + 1), rows, zero)
-    ledger.z_draws += count * stream.keys.size
-    return acc
-
-
-def _block_rows(row_size, budget):
-    """Indices per block when each index adds ``row_size`` lane-dim
-    elements: as many as fit ``budget`` elements, and at least one."""
-    return max(1, budget // max(1, row_size))
+    return _chain_sum(terms, count, chunk, _DRAW_BLOCK, stream.shape + (problem.dim,))
 
 
 def _node_budget():
@@ -268,16 +239,28 @@ def _node_budget():
     return _NODE_BLOCK if main else _DRAW_BLOCK
 
 
-def _chain_sum(terms, k0, k1, rows, part):
-    """``part + terms(k0) + ... + terms(k1 - 1)`` added in that order.
-    ``terms`` maps blocks of at most ``rows`` indices to one row each; the
-    running sum, ``part`` at first, is carried as the first row of the next
-    block, so blocking never regroups additions.
+def _chain_sum(terms, count, chunk, budget, shape):
+    """Sum of ``terms`` over the indices 1..count, shape ``shape``: the one
+    summation rule of every engine sum.
+
+    Each run of ``chunk`` indices is added in ascending order from a
+    float64 zero row, and the run sums are added in order to a float64
+    zero row.  ``terms`` maps a block of indices to one row each; a run is
+    walked in blocks of as many indices as fit ``budget`` elements of
+    ``shape``, and at least one, the running sum carried in as the first
+    row of the next block.  So blocks never regroup additions, and any
+    budget gives the same bits.
     """
-    for j0 in range(k0, k1, rows):
-        block = terms(np.arange(j0, min(j0 + rows, k1)))
-        part = _ascending_sum(np.concatenate((part[None], block)))
-    return part
+    zero = np.zeros(shape)
+    rows = max(1, budget // max(1, zero.size))
+    total = zero
+    for k0 in range(1, count + 1, chunk):
+        part, k1 = zero, min(k0 + chunk, count + 1)
+        for j0 in range(k0, k1, rows):
+            block = terms(np.arange(j0, min(j0 + rows, k1)))
+            part = _ascending_sum(np.concatenate((part[None], block)))
+        total = total + part
+    return total
 
 
 def _ascending_sum(terms):

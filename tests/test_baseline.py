@@ -124,31 +124,40 @@ def test_one_lane_matches_lane_in_batch(name):
 @pytest.mark.parametrize("name", ["linear_meanfield", "planar_rotation"])
 def test_draw_budget_never_changes_bits(monkeypatch, name, budget):
     # Budgets of a few elements split every node's draws into many
-    # sub-blocks (at 1 lane and at 5, in 1-D and 2-D); any budget must give
-    # the oracle's bits.
+    # sub-blocks (at 1 lane and at 5, in 1-D and 2-D), and M = 4100 crosses
+    # a 4096-draw chunk boundary; any budget must give the oracle's bits and
+    # draw counts.
     monkeypatch.setattr(mlp, "_DRAW_BLOCK", budget)
     p = named_problem(name)
     lanes = np.arange(1, 6)
-    wide = mc_euler_batch(p, 2, 300, StreamBundle.root_children(SEED, lanes), CostLedger())
-    for i, j in enumerate(lanes):
-        one = mc_euler_batch(p, 2, 300, StreamBundle.root_children(SEED, [j]), CostLedger())
-        want = euler_scalar(p, 2, 300, root(SEED).spawn(int(j)))
-        for got in (one[0], wide[i]):
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+    for K, M in ((2, 300), (1, 4100)):
+        wide_ledger, want_ledger = CostLedger(), CostLedger()
+        wide = mc_euler_batch(p, K, M, StreamBundle.root_children(SEED, lanes), wide_ledger)
+        for i, j in enumerate(lanes):
+            one = mc_euler_batch(p, K, M, StreamBundle.root_children(SEED, [j]), CostLedger())
+            want = euler_scalar(p, K, M, root(SEED).spawn(int(j)), want_ledger, chunk=4096)
+            for got in (one[0], wide[i]):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert wide_ledger == want_ledger
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_worker_thread_gives_the_same_bits(name):
-    # A pool worker gives the main thread's bits; at 40 lanes a 4096-draw
-    # chunk spans several sub-blocks and M = 5000 crosses a chunk boundary.
+    # A pool worker gives the main thread's bits and ledger; at 40 lanes a
+    # 4096-draw chunk spans several sub-blocks and M = 5000 crosses a chunk
+    # boundary.
     p = named_problem(name)
 
     def run():
-        return mc_euler_batch(p, 2, 5000, StreamBundle.root_children(SEED, np.arange(1, 41)), CostLedger())
+        ledger = CostLedger()
+        return mc_euler_batch(p, 2, 5000, StreamBundle.root_children(SEED, np.arange(1, 41)), ledger), ledger
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        assert np.array_equal(pool.submit(run).result(timeout=60), run())
+        in_worker, worker_ledger = pool.submit(run).result(timeout=60)
+    in_main, main_ledger = run()
+    assert np.array_equal(in_worker, in_main)
+    assert worker_ledger == main_ledger
 
 
 def test_batch_ledger_scales_with_lanes():

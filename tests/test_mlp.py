@@ -398,16 +398,22 @@ def test_worker_thread_gives_the_same_bits(name):
     # a worker does not.  Fresh-draw sub-blocks have one budget on every
     # thread, so (1, 600) checks that budget in a worker.  Every 8th
     # sampled lane matches the oracle summed in 512-draw chunks.
+    # The ledger, counted block by block, must total the same over the
+    # worker's blocks as over the main thread's.
     p = named_problem(name)
     for n, m, nlanes in ((1, 600, 200), (2, 30, 300), (3, 6, 300)):
         lanes = np.arange(1, nlanes + 1)
 
         def run():
-            return mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, lanes), CostLedger())
+            ledger = CostLedger()
+            out = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, lanes), ledger)
+            return out, ledger
 
         with ThreadPoolExecutor(max_workers=1) as pool:
-            in_worker = pool.submit(run).result(timeout=60)
-        _assert_same_bits(in_worker, run())
+            in_worker, worker_ledger = pool.submit(run).result(timeout=60)
+        in_main, main_ledger = run()
+        _assert_same_bits(in_worker, in_main)
+        assert worker_ledger == main_ledger
         for i in _sample(nlanes)[::8]:
             want = estimate_scalar(p, n, m, 0.8, root(SEED).spawn(int(lanes[i])), CostLedger(), chunk=512)
             _assert_same_bits(in_worker[i], want)
@@ -418,18 +424,22 @@ def test_worker_thread_gives_the_same_bits(name):
 def test_block_budgets_never_change_bits(monkeypatch, name, budget):
     # Budgets of a few elements split every base-term chunk and every level
     # into many blocks (at 1 lane and at 5, in 1-D and 2-D), so the carried
-    # chain runs at every block boundary.  Any budget must give the oracle's
-    # bits.
+    # chain runs at every block boundary; (1, 600) crosses a 512-draw chunk
+    # boundary, where at budget 7 on one lane a block is cut short (512 =
+    # 73*7 + 1).  Any budget must give the oracle's bits and draw counts.
     for constant in ("_DRAW_BLOCK", "_NODE_BLOCK"):
         monkeypatch.setattr(mlp, constant, budget)
     p = named_problem(name)
     lanes = np.arange(1, 6)
-    for n, m in ((1, 500), (3, 4)):
-        wide = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, lanes), CostLedger())
+    for n, m in ((1, 500), (1, 600), (3, 4)):
+        wide_ledger, want_ledger = CostLedger(), CostLedger()
+        wide = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, lanes), wide_ledger)
         for i, j in enumerate(lanes):
             one = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, [j]), CostLedger())
             _assert_same_bits(one[0], wide[i])
-            _assert_same_bits(wide[i], estimate_scalar(p, n, m, 0.8, root(SEED).spawn(int(j)), CostLedger()))
+            want = estimate_scalar(p, n, m, 0.8, root(SEED).spawn(int(j)), want_ledger, chunk=512)
+            _assert_same_bits(wide[i], want)
+        assert wide_ledger == want_ledger
 
 
 def test_pure_noise_keeps_its_gaussians_across_nested_draws():
