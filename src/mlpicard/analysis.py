@@ -34,7 +34,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -340,8 +340,8 @@ def rmse_experiment(
 
     ref = reference_solve(problem, t)
     inputs = BoundInputs.from_problem(problem)
-    # Contiguous chunks of the lanes 1..R; chunking never moves a lane's bits.
-    chunks = np.array_split(np.arange(1, replications + 1), min(threads, replications))
+    # One contiguous chunk of the lanes 1..R per worker; chunking never moves a lane's bits.
+    chunks = np.array_split(np.arange(1, replications + 1), min(threads, replications, os.cpu_count() or 1))
     report = RmseReport(problem.name, scheme, seed, t)
 
     cum = 0
@@ -366,12 +366,10 @@ def rmse_experiment(
         if len(chunks) == 1:
             parts = [run(chunks[0])]
         else:
-            with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
                 parts = list(pool.map(run, chunks))
         estimates = np.concatenate([p[0] for p in parts], axis=0)
-        ledger = CostLedger()
-        for p in parts:
-            ledger = ledger.merge(p[1])
+        ledger = reduce(CostLedger.merge, [p[1] for p in parts])
         if ledger.z_draws != per_real * replications:
             raise RuntimeError(
                 "cost accounting violated: "

@@ -216,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an RMSE-versus-cost experiment")
     p_run.add_argument("--config", required=True, help="JSON config (or a previous JSON result)")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    p_run.add_argument("--threads", type=int, default=1, metavar="N", help="min(N, R, os.cpu_count()) workers, "
+                       "each on one contiguous lane chunk; one worker is the calling thread (default 1)")
 
     p_sched = sub.add_parser("schedule", help="evaluate iteration schedules for target accuracies")
     p_sched.add_argument("--config", required=True, help="JSON config with epsilon_list")

@@ -80,7 +80,7 @@ class ExpectationOdeProblem:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise TypeError(f"name must be a str, got {type(self.name).__name__}")
-        _check_int(self.dim, "dim", 1)
+        object.__setattr__(self, "dim", _check_int(self.dim, "dim", 1))
         if (self.sample_z_batch is None) != (self.drift_batch is None):
             missing = "sample_z_batch" if self.sample_z_batch is None else "drift_batch"
             raise ValueError(f"problem {self.name!r} sets one batch hook without the other: {missing} is missing")
@@ -99,10 +99,10 @@ class ExpectationOdeProblem:
 
 
 def _check_bound_constants(obj) -> None:
-    """The rule for the constants every error bound takes: ``obj.horizon``,
-    ``obj.lipschitz`` and ``obj.f_xi_second_moment`` are finite reals >= 0."""
+    """Store ``obj.horizon``, ``obj.lipschitz`` and ``obj.f_xi_second_moment``,
+    the constants every error bound takes, on ``obj`` as finite floats >= 0."""
     for name in ("horizon", "lipschitz", "f_xi_second_moment"):
-        _check_real(getattr(obj, name), name, 0.0)
+        object.__setattr__(obj, name, _check_real(getattr(obj, name), name, 0.0))
 
 
 _REGISTRY: dict[str, ExpectationOdeProblem] = {}

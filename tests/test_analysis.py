@@ -397,8 +397,9 @@ def test_rmse_experiment_thread_count_does_not_change_results():
 
 @pytest.mark.parametrize("scheme,engine", [("mlp", "mlp_estimate_batch"), ("mc_euler", "mc_euler_batch")])
 def test_the_thread_pool_has_no_more_workers_than_cpus(monkeypatch, scheme, engine):
-    # Eight lane chunks on two CPUs: two workers run the eight engine calls,
-    # and the chunks, so the bytes, are those of eight threads.
+    # Eight threads asked for on two CPUs: two workers, each making one engine
+    # call on one contiguous chunk of four lanes.  Chunks never move a lane's
+    # bits, so the bytes are those of one thread.
     calls, pools = [], []
     batch, pool_class = getattr(analysis, engine), analysis.ThreadPoolExecutor
 
@@ -417,7 +418,7 @@ def test_the_thread_pool_has_no_more_workers_than_cpus(monkeypatch, scheme, engi
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", recorded)
     eight = rmse_experiment(p, scheme, [(2, 3)], 8, SEED, threads=8)
     assert pools == [2]
-    assert calls == [1] * 8
+    assert calls == [4, 4]
     assert eight.csv_text() == one.csv_text()
 
 
@@ -529,6 +530,7 @@ def test_problems_without_batch_hooks_run_one_engine_call_per_lane_chunk(monkeyp
         calls.append(args[-2].shape[0])  # the bundle of the lane chunk
         return batch(*args)
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any host
     monkeypatch.setattr(analysis, engine, counted)
     bare = dataclasses.replace(builtin("sine_meanfield"), name="sine_scalar_only", sample_z_batch=None, drift_batch=None)
     rmse_experiment(bare, scheme, [(2, 3)], 7, SEED, threads=threads)
@@ -625,6 +627,21 @@ def test_json_bytes_are_pinned(scheme, grid):
     rep = rmse_experiment(builtin("linear_meanfield"), scheme, list(grid), 4, SEED)
     rep.config = ExperimentConfig.from_dict(raw).to_dict()
     assert hashlib.sha256(rep.json_text().encode()).hexdigest() == JSON_SHA256[scheme, grid]
+
+
+def test_json_bytes_do_not_depend_on_the_type_of_a_declared_constant():
+    # A problem keeps the float its check returns, so horizon 1, np.int64(1)
+    # and 1.0 are one experiment with one byte stream ("eval_time": 1.0).
+    texts = {
+        rmse_experiment(
+            dataclasses.replace(builtin("linear_meanfield"), name="lm", horizon=horizon), "mlp", [(1, 2)], 2, SEED
+        ).json_text()
+        for horizon in (1, np.int64(1), 1.0)
+    }
+    assert len(texts) == 1
+    assert '"eval_time": 1.0' in texts.pop()
+    assert [type(v) for v in dataclasses.astuple(BoundInputs(1, np.int64(1), 1))] == [float] * 3
+    assert type(dataclasses.replace(builtin("linear_meanfield"), dim=np.int64(1)).dim) is int
 
 
 def test_artifacts_get_the_mode_of_a_plain_create(tmp_path):
