@@ -29,6 +29,9 @@ pins the whole experiment output::
 
 with u1 in (0, 1] and u2 in [0, 1) built from two consecutive words (the
 sine partner is discarded; one gaussian always consumes two counters).
+The array kernel takes the cosines in angle-bucket order, which glibc's
+branchy ``cos`` predicts well, and puts each back in its lane; the bits
+hold because numpy's float64 ``cos`` is elementwise.
 A counter lies in [0, 2^64), and a draw that would take the counter past
 2^64 - 1 raises ``ValueError`` before it makes a word, so counters never
 wrap onto the words of counter 0.
@@ -74,7 +77,8 @@ _ANGLE_2_53 = _TWO_PI * _INV_2_53  # exact: a power-of-two scaling
 _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_SPAWN = np.uint64(_SPAWN_SALT)
 _U64_DRAW = np.uint64(_DRAW_SALT)
-_SH30, _SH27, _SH31, _SH11 = (np.uint64(s) for s in (30, 27, 31, 11))
+_SH30, _SH27, _SH31, _SH11, _SH57 = (np.uint64(s) for s in (30, 27, 31, 11, 57))
+_COS_TILE = 1 << 13  # lanes per cosine permutation: small enough for L2 and flat peak RSS
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
@@ -163,15 +167,23 @@ def _gaussian_from_words(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     # u1 in (0,1] keeps the log finite; u2 in [0,1).  Every step before log
     # and cos is exact: top53 + 1 <= 2^53 is representable, and scaling by
     # 2^-53 commutes with rounding, so 2*pi*2^-53 folds into one constant.
+    # glibc's cos branches on the angle's range and quadrant, so each tile's
+    # cosines are taken in the order of their angle word's top 7 bits (a
+    # stable radix argsort) and put back in their lanes; np.cos is elementwise,
+    # so no bit moves.  Cosines first: the sort's temporaries go before g.
+    c = _top53(w2)
+    c *= _ANGLE_2_53
+    flat, buckets = c.reshape(-1), np.right_shift(w2, _SH57).astype(np.uint8).reshape(-1)
+    for lo in range(0, flat.size, _COS_TILE):
+        tile, order = flat[lo:lo + _COS_TILE], np.argsort(buckets[lo:lo + _COS_TILE], kind="stable")
+        part = tile.take(order)
+        tile[order] = np.cos(part, out=part)
     g = _top53(w1)
     g += 1.0
     g *= _INV_2_53
     np.log(g, out=g)
     g *= -2.0
     np.sqrt(g, out=g)
-    c = _top53(w2)
-    c *= _ANGLE_2_53
-    np.cos(c, out=c)
     g *= c
     return g
 

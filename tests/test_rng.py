@@ -1,5 +1,7 @@
 """Stream determinism, splitting semantics, and statistical batteries."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,62 @@ def test_draw_kernel_matches_fresh_array_oracle_on_edge_words():
     assert got == oracle.gaussian_from_words(w1, w2).tobytes()
     assert np.signbit(np.frombuffer(got)[w1 == top]).any()
     assert np.array_equal(rng._mix64_np(edge.copy()), oracle.mix64_np(edge))
+
+
+# The kernel takes its cosines in the order of the angle word's top 7 bits,
+# tile by tile, and writes each back to its lane: every shape must come out
+# as the oracle's plain np.cos does, 0-d, empty and more than one tile too.
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (2, 3), (33, 1000), (4, 5, 6)])
+def test_draw_kernel_matches_oracle_at_every_shape(shape):
+    w1, w2 = np.random.default_rng(26).integers(0, 2**64, size=(2, *shape), dtype=np.uint64)
+    assert _gaussian_bytes(w1, w2) == oracle.gaussian_from_words(w1, w2).tobytes()
+
+
+def test_draw_kernel_matches_oracle_within_and_across_angle_buckets():
+    words = np.random.default_rng(27).integers(0, 2**64, size=(2, 5000), dtype=np.uint64)
+    w1, w2 = words[0], (words[1] >> np.uint64(7)) | np.uint64(37 << 57)  # all in bucket 37
+    assert _gaussian_bytes(w1, w2) == oracle.gaussian_from_words(w1, w2).tobytes()
+    # Angle words at each side of a bucket edge, low 57 bits all zeros and all ones.
+    edge = np.array([(t << 57) | low for t in (0, 63, 64, 127) for low in (0, 2**57 - 1)], dtype=np.uint64)
+    w1, w2 = (a.ravel() for a in np.meshgrid(np.array([0, 2**64 - 1, 12345], dtype=np.uint64), edge))
+    assert _gaussian_bytes(w1, w2) == oracle.gaussian_from_words(w1, w2).tobytes()
+
+
+def test_bundle_gaussians_on_two_dimensional_keys_match_scalar_streams():
+    indices = np.arange(-60, 60).reshape(4, 30)
+    bundle = StreamBundle.root_children(2021, indices)
+    streams = [root(2021).spawn(int(i)) for i in indices.ravel()]
+    for _ in range(2):
+        want = np.array([s.next_gaussian() for s in streams]).reshape(indices.shape)
+        assert bundle.next_gaussian().tobytes() == want.tobytes()
+
+
+# Box-Muller angles near glibc cos's region edges (|x| = 0.855469 and
+# 2.426265, whose high words it compares with 0x3feb6000 and 0x400368fd),
+# next to pi/2, pi and 3*pi/2, and the largest angle the kernel makes.
+COS_EDGE_ANGLES = [
+    0x3FEB5FFFFFFFFFFF, 0x3FEB600000000000, 0x3FEB600000000001,
+    0x400368FCFFFFFFFF, 0x400368FD00000000, 0x400368FD00000001,
+    0x3FF921FB54442D17, 0x3FF921FB54442D18, 0x3FF921FB54442D19,
+    0x400921FB54442D17, 0x400921FB54442D18, 0x400921FB54442D19,
+    0x4012D97C7F3321D1, 0x4012D97C7F3321D2, 0x4012D97C7F3321D3,
+    0x401921FB54442D17,
+]
+
+
+def test_float64_cos_is_elementwise_as_the_kernel_assumes():
+    words = np.random.default_rng(28).integers(0, 2**64, size=1 << 16, dtype=np.uint64)
+    edges = np.array(COS_EDGE_ANGLES, dtype=np.uint64).view(np.float64)
+    x = np.concatenate([(words >> np.uint64(11)) * rng._ANGLE_2_53, edges])
+    p = np.random.default_rng(29).permutation(x.size)
+    assert np.cos(x[p]).tobytes() == np.cos(x)[p].tobytes(), (
+        "numpy's float64 cos gives an angle other bits at another position in the array, as a SIMD loop with a "
+        "scalar tail may: the Gaussian kernel takes its cosines in angle-bucket order and relies on cos being "
+        "elementwise, so its Gaussians would no longer match the oracle's or the SHA pins"
+    )
+    assert np.cos(edges).tolist() == [math.cos(a) for a in edges.tolist()], (
+        "numpy's float64 cos is not the C library's scalar cos, with which every SHA pin was computed"
+    )
 
 
 # Inputs whose float64 log numpy 2.4.6 rounds differently in its AVX-512
