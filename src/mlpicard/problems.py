@@ -232,83 +232,73 @@ _ZERO = np.zeros(1)
 _ONE = np.ones(1)
 
 
-def _pure_noise() -> ExpectationOdeProblem:
-    # F(x, z) = z with Z ~ N(0, 1): zero mean drift, X(t) = 0.
-    return ExpectationOdeProblem(
-        name="pure_noise",
-        dim=1,
-        xi=_ZERO,
-        horizon=1.0,
-        lipschitz=0.0,
-        sample_z=lambda stream: stream.next_gaussian(),
-        drift=lambda x, z: np.array([z]),
-        f_xi_second_moment=1.0,
-        exact_mean_drift=lambda x: np.zeros(1),
-        closed_form=lambda t: np.zeros(1),
-        sample_z_batch=lambda bundle: bundle.next_gaussian(),
-        drift_batch=lambda x, z: np.asarray(z)[..., None] + 0.0,
-    )
+# F(x, z) = z with Z ~ N(0, 1): zero mean drift, X(t) = 0.
+register_problem(ExpectationOdeProblem(
+    name="pure_noise",
+    dim=1,
+    xi=_ZERO,
+    horizon=1.0,
+    lipschitz=0.0,
+    sample_z=lambda stream: stream.next_gaussian(),
+    drift=lambda x, z: np.array([z]),
+    f_xi_second_moment=1.0,
+    exact_mean_drift=lambda x: np.zeros(1),
+    closed_form=lambda t: np.zeros(1),
+    sample_z_batch=lambda bundle: bundle.next_gaussian(),
+    drift_batch=lambda x, z: np.asarray(z)[..., None] + 0.0,
+))
 
+# F(x, z) = 1 with degenerate Z: X(t) = t, every estimator is exact.
+register_problem(ExpectationOdeProblem(
+    name="const_drift",
+    dim=1,
+    xi=_ZERO,
+    horizon=1.0,
+    lipschitz=0.0,
+    sample_z=lambda stream: 0.0,
+    drift=lambda x, z: np.ones(1),
+    f_xi_second_moment=1.0,
+    exact_mean_drift=lambda x: np.ones(1),
+    closed_form=lambda t: np.array([float(t)]),
+    sample_z_batch=lambda bundle: np.zeros(bundle.shape),
+    drift_batch=lambda x, z: np.broadcast_to(
+        _ONE, np.broadcast_shapes(np.shape(x), np.shape(z) + (1,))
+    ),
+))
 
-def _const_drift() -> ExpectationOdeProblem:
-    # F(x, z) = 1 with degenerate Z: X(t) = t, every estimator is exact.
-    return ExpectationOdeProblem(
-        name="const_drift",
-        dim=1,
-        xi=_ZERO,
-        horizon=1.0,
-        lipschitz=0.0,
-        sample_z=lambda stream: 0.0,
-        drift=lambda x, z: np.ones(1),
-        f_xi_second_moment=1.0,
-        exact_mean_drift=lambda x: np.ones(1),
-        closed_form=lambda t: np.array([float(t)]),
-        sample_z_batch=lambda bundle: np.zeros(bundle.shape),
-        drift_batch=lambda x, z: np.broadcast_to(
-            _ONE, np.broadcast_shapes(np.shape(x), np.shape(z) + (1,))
-        ),
-    )
+# F(x, z) = z - x with Z ~ N(1, 1): X' = 1 - X, X(t) = 1 - exp(-t),
+# E[Z^2] = 2.  The Lipschitz constant 1 is attained for every z.
+register_problem(ExpectationOdeProblem(
+    name="linear_meanfield",
+    dim=1,
+    xi=_ZERO,
+    horizon=1.0,
+    lipschitz=1.0,
+    sample_z=lambda stream: 1.0 + stream.next_gaussian(),
+    drift=lambda x, z: z - x,
+    f_xi_second_moment=2.0,
+    exact_mean_drift=lambda x: 1.0 - x,
+    closed_form=lambda t: np.array([-np.expm1(-float(t))]),
+    sample_z_batch=lambda bundle: 1.0 + bundle.next_gaussian(),
+    drift_batch=lambda x, z: np.asarray(z)[..., None] - x,
+))
 
+# F(x, z) = sin(x) + z with Z ~ N(0, 1): X' = sin(X).  Starting from
+# xi = 0 the mean path is identically zero, but the estimator still has
+# to discover that through genuinely nonlinear drift evaluations; no
+# closed form is registered, so the RK4 reference solver is exercised.
+register_problem(ExpectationOdeProblem(
+    name="sine_meanfield",
+    dim=1,
+    xi=_ZERO,
+    horizon=1.0,
+    lipschitz=1.0,
+    sample_z=lambda stream: stream.next_gaussian(),
+    drift=lambda x, z: np.sin(x) + z,
+    f_xi_second_moment=1.0,
+    exact_mean_drift=lambda x: np.sin(x),
+    sample_z_batch=lambda bundle: bundle.next_gaussian(),
+    drift_batch=lambda x, z: np.sin(x) + np.asarray(z)[..., None],
+))
 
-def _linear_meanfield() -> ExpectationOdeProblem:
-    # F(x, z) = z - x with Z ~ N(1, 1): X' = 1 - X, X(t) = 1 - exp(-t),
-    # E[Z^2] = 2.  The Lipschitz constant 1 is attained for every z.
-    return ExpectationOdeProblem(
-        name="linear_meanfield",
-        dim=1,
-        xi=_ZERO,
-        horizon=1.0,
-        lipschitz=1.0,
-        sample_z=lambda stream: 1.0 + stream.next_gaussian(),
-        drift=lambda x, z: z - x,
-        f_xi_second_moment=2.0,
-        exact_mean_drift=lambda x: 1.0 - x,
-        closed_form=lambda t: np.array([-np.expm1(-float(t))]),
-        sample_z_batch=lambda bundle: 1.0 + bundle.next_gaussian(),
-        drift_batch=lambda x, z: np.asarray(z)[..., None] - x,
-    )
-
-
-def _sine_meanfield() -> ExpectationOdeProblem:
-    # F(x, z) = sin(x) + z with Z ~ N(0, 1): X' = sin(X).  Starting from
-    # xi = 0 the mean path is identically zero, but the estimator still has
-    # to discover that through genuinely nonlinear drift evaluations; no
-    # closed form is registered, so the RK4 reference solver is exercised.
-    return ExpectationOdeProblem(
-        name="sine_meanfield",
-        dim=1,
-        xi=_ZERO,
-        horizon=1.0,
-        lipschitz=1.0,
-        sample_z=lambda stream: stream.next_gaussian(),
-        drift=lambda x, z: np.sin(x) + z,
-        f_xi_second_moment=1.0,
-        exact_mean_drift=lambda x: np.sin(x),
-        sample_z_batch=lambda bundle: bundle.next_gaussian(),
-        drift_batch=lambda x, z: np.sin(x) + np.asarray(z)[..., None],
-    )
-
-
-for _factory in (_pure_noise, _const_drift, _linear_meanfield, _sine_meanfield):
-    register_problem(_factory())
-BUILTIN_NAMES = tuple(problem_names())  # the problems of the factories above, sorted
+BUILTIN_NAMES = tuple(problem_names())  # the problems registered above, sorted

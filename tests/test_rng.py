@@ -169,6 +169,10 @@ def test_draw_kernel_matches_fresh_array_oracle_on_edge_words():
 def test_draw_kernel_matches_oracle_at_every_shape(shape):
     w1, w2 = np.random.default_rng(26).integers(0, 2**64, size=(2, *shape), dtype=np.uint64)
     assert _gaussian_bytes(w1, w2) == oracle.gaussian_from_words(w1, w2).tobytes()
+    # Uniforms too: a bundle keyed by w1 converts its words to an array of the keys' shape.
+    u = StreamBundle(w1).next_uniform()
+    assert isinstance(u, np.ndarray) and u.shape == shape
+    assert u.tobytes() == np.asarray((rng._words_np(w1, 0, 1)[0] >> np.uint64(11)) * 2.0**-53).tobytes()
 
 
 def test_draw_kernel_matches_oracle_within_and_across_angle_buckets():
@@ -248,10 +252,12 @@ def test_stream_block_draws_match_oracle_through_strided_views():
     # gaussians() hands the kernel the even and odd words as strided views.
     s = root(31).spawn(4).spawn(-2)
     s.next_uniform()  # an odd counter offset
-    words = np.array([rng._word(s._key, c) for c in range(1, 2004)], dtype=np.uint64)
-    want = oracle.gaussian_from_words(words[0:2000:2], words[1:2000:2])
-    assert s.gaussians(1000).tobytes() == want.tobytes()
-    assert np.array_equal(s.uniforms(3), (words[2000:] >> np.uint64(11)) * 2.0**-53)
+    # More than one cosine tile, so strided words cross a tile boundary.
+    n = rng._COS_TILE + 1000
+    words = np.array([rng._word(s._key, c) for c in range(1, 2 * n + 4)], dtype=np.uint64)
+    want = oracle.gaussian_from_words(words[0:2 * n:2], words[1:2 * n:2])
+    assert s.gaussians(n).tobytes() == want.tobytes()
+    assert np.array_equal(s.uniforms(3), (words[2 * n:] >> np.uint64(11)) * 2.0**-53)
 
 
 def _battery_paths():
