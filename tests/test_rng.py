@@ -48,6 +48,40 @@ def test_seed_validation():
         root(True)
 
 
+# The first uniforms of fixed streams, as exact float64 literals.  A uniform
+# is a word's top 53 bits times 2^-53, exact, and those bits are all the
+# package consumes of a word: integer arithmetic and one exact conversion,
+# so unlike the SHA pins (which go through numpy's log and cos) these hold
+# on every CPU and numpy build.  A change to the keyed hash that moves the
+# scalar and array forms together passes every equality test, not this one.
+FIRST_UNIFORMS = [
+    (lambda: root(0), ["0x1.b67bef7123432p-1", "0x1.39fa3f6391f7dp-1"]),
+    (lambda: root(12345), ["0x1.c2043d3d00d8ep-2", "0x1.70bc1c518e4d4p-1"]),
+    (lambda: root(2**64 - 1), ["0x1.cf864a38aed3ap-1", "0x1.ca575ec36090cp-3"]),
+    (lambda: root(12345).spawn(1).spawn(2).spawn(-3), ["0x1.7e0d11bdfe426p-2", "0x1.1e9ba366dccc0p-3"]),
+    (lambda: root(12345).spawn(2**63 - 1), ["0x1.3a8eb352b9243p-1", "0x1.bdfbde33051e0p-5"]),
+    (lambda: root(12345).spawn(-2**63), ["0x1.a49582c28baffp-1", "0x1.00baa0468ca32p-2"]),
+    (lambda: SplittableStream(12345, (3,), 2**64 - 2), ["0x1.1f0df8e338cb8p-4"]),  # the last counter to draw
+]
+
+
+@pytest.mark.parametrize(
+    "make,want", FIRST_UNIFORMS,
+    ids=["root0", "root12345", "root_max_seed", "path_1_2_-3", "index_max", "index_min", "last_counter"],
+)
+def test_first_uniforms_are_pinned_on_every_host(make, want):
+    s = make()
+    assert [s.next_uniform().hex() for _ in want] == want
+    assert [float(u).hex() for u in make().uniforms(len(want))] == want
+
+
+def test_first_bundle_uniforms_are_pinned_on_every_host():
+    # The lanes of root_children(12345, [1, 2]).spawn(0), two draws each.
+    b = StreamBundle.root_children(12345, [1, 2]).spawn(0)
+    got = [[float(u).hex() for u in b.next_uniform()] for _ in range(2)]
+    assert got == [["0x1.0d59f7ed6f3dap-2", "0x1.0e5160c204c69p-1"], ["0x1.987f2a9b88505p-1", "0x1.ebf2e20189960p-6"]]
+
+
 def test_distinct_seeds_give_uncorrelated_streams():
     a = root(42).uniforms(10**4)
     b = root(43).uniforms(10**4)
