@@ -177,10 +177,11 @@ def tail_bound_max(inputs: BoundInputs, n: int) -> float:
 class Schedule:
     """Iteration count and total cost prescribed for a target accuracy.
 
-    ``total_cost`` is the exact number of Z draws needed to run every
-    coupled estimator up to level ``n_epsilon + mathfrak_n`` once,
-    i.e. sum_{n=1}^{N+offset} rv_exact(n, n); ``tail_bound`` is the
-    computed tail supremum at ``n_epsilon`` (always <= epsilon).
+    ``total_cost`` is the exact number of Z draws to run every coupled
+    estimator up to level N = ``n_epsilon + mathfrak_n`` once: the exact
+    integer sum of ``rv_exact(j, j)`` for j = 1..N, which takes roughly
+    cubic time in n_epsilon (see :func:`n_epsilon`).  ``tail_bound`` is
+    the computed tail supremum at ``n_epsilon`` (always <= epsilon).
     """
 
     epsilon: float
@@ -194,7 +195,10 @@ def n_epsilon(inputs: BoundInputs, epsilon: float, mathfrak_n: int = 0) -> Sched
     """Smallest n whose coupled tail bound is below ``epsilon``.
 
     Finite for every epsilon in (0, 1] because the coupled bound decays to
-    zero; monotonically nondecreasing as epsilon shrinks.
+    zero; monotonically nondecreasing as epsilon shrinks.  ``total_cost``,
+    an exact integer sum of ``rv_exact(j, j)``, takes roughly cubic time in
+    n_epsilon (2-vCPU Xeon, T = M2 = 1, epsilon = 0.1): 0.97 s at L*T = 10
+    (n_epsilon = 1,224), unfinished after 100 s at L*T = 30 (10,180).
     """
     epsilon, mathfrak_n = _check_epsilon(epsilon), _check_mathfrak_n(mathfrak_n)
     n = 1

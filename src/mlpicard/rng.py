@@ -4,12 +4,15 @@ The estimators in this package consume an unbounded family of random draws
 indexed by finite integer paths: every stream can spawn child streams by a
 signed integer index, to any depth, and every stream owns its own infinite
 draw sequence.  This module realises that family with a counter-based
-construction.  A stream is identified by ``(seed, path)``; its draws are
+construction.  A stream is identified by ``(seed, path)``, and one keyed
+hash, ``mix64((key ^ salt) + x * GOLDEN)`` mod 2^64 with ``mix64`` the
+SplitMix64 finaliser (Stafford variant 13), gives its key and its draws:
 
-    word(seed, path, counter) = mix64((key ^ DRAW_SALT) + (counter + 1) * GOLDEN)
+    root key   mix64(seed ^ ROOT_SALT)
+    child key  mix64((key ^ SPAWN_SALT) + index * GOLDEN)  for each path index
+    word       mix64((key ^ DRAW_SALT) + (counter + 1) * GOLDEN)
 
-where ``key`` is a per-element chained hash of the seed and the path and
-``mix64`` is the SplitMix64 finaliser (Stafford variant 13).  Consequences:
+Consequences:
 
 * spawning is O(1) and never touches the parent's counter or path,
 * a draw is a pure function of (seed, path, counter), so the same
@@ -114,39 +117,31 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _root_key(seed: int) -> int:
-    return _mix64(seed ^ _ROOT_SALT)
+def _hash(key: int, salt: int, x: int) -> int:
+    """The keyed hash of every key and word, on Python ints."""
+    return _mix64((key ^ salt) + (x & _MASK) * _GOLDEN)
 
 
-def _child_key(key: int, index: int) -> int:
-    return _mix64((key ^ _SPAWN_SALT) + ((index & _MASK) * _GOLDEN))
-
-
-def _word(key: int, counter: int) -> int:
-    return _mix64((key ^ _DRAW_SALT) + (((counter + 1) & _MASK) * _GOLDEN))
-
-
-def _child_keys_np(keys: np.ndarray, indices) -> np.ndarray:
-    """Vector form of :func:`_child_key`; broadcasts keys against indices."""
-    idx = np.asarray(indices, dtype=np.int64).view(np.uint64)
-    return _mix64_np(np.add(keys ^ _U64_SPAWN, idx * _U64_GOLDEN))
+def _hash_np(keys: np.ndarray, salt: np.uint64, xs) -> np.ndarray:
+    """:func:`_hash` on uint64 ``keys`` against int64 or uint64 ``xs`` (mod 2^64 by their bits)."""
+    return _mix64_np(np.add(keys ^ salt, np.asarray(xs).view(np.uint64) * _U64_GOLDEN))
 
 
 def _spawn_block(bundle: "StreamBundle", indices: np.ndarray) -> "StreamBundle":
     """The child bundle over a block of int64 ``indices``, keys shape
     ``(len(indices), *bundle.shape)``."""
-    keys = bundle.keys
-    return StreamBundle(_child_keys_np(keys, indices.reshape((-1,) + (1,) * keys.ndim)))
+    return StreamBundle(_hash_np(bundle.keys, _U64_SPAWN, indices.reshape((-1,) + (1,) * bundle.keys.ndim)))
 
 
-def _words_np(keys: np.ndarray, counter: int, count: int) -> np.ndarray:
-    """The words at counters ``counter .. counter+count-1`` of every key,
-    one ``_mix64_np`` call, shape ``(count, *keys.shape)``.  Checks the
-    counters first (:func:`_check_draw`)."""
-    _check_draw(counter, count)
-    steps = np.arange(count, dtype=np.uint64) + np.uint64((counter + 1) & _MASK)
-    steps *= _U64_GOLDEN
-    return _mix64_np(np.add(keys ^ _U64_DRAW, steps.reshape((count,) + (1,) * keys.ndim)))
+def _take_words(stream, keys: np.ndarray, count: int) -> np.ndarray:
+    """The next ``count`` words of the ``keys`` of ``stream`` (a stream or bundle), shape
+    ``(count, *keys.shape)``: checks the counters (:func:`_check_draw`), makes
+    the words in one :func:`_hash_np` call, and only then advances the counter."""
+    _check_draw(stream.counter, count)
+    steps = np.arange(count, dtype=np.uint64) + np.uint64((stream.counter + 1) & _MASK)
+    words = _hash_np(keys, _U64_DRAW, steps.reshape((count,) + (1,) * keys.ndim))
+    stream.counter += count
+    return words
 
 
 def _scaled_top53(words: np.ndarray, scale: float, offset: float = 0.0) -> np.ndarray:
@@ -258,9 +253,9 @@ class SplittableStream:
         self.seed = _check_seed(seed)
         self.path = tuple(_check_index(i) for i in path)
         self.counter = _check_counter(counter)
-        key = _root_key(self.seed)
+        key = _hash(self.seed, _ROOT_SALT, 0)
         for element in self.path:
-            key = _child_key(key, element)
+            key = _hash(key, _SPAWN_SALT, element)
         self._key = key
 
     @classmethod
@@ -277,12 +272,12 @@ class SplittableStream:
         """
         index = _check_index(index)
         path = None if self.path is None else self.path + (index,)
-        return _keyed_stream(_child_key(self._key, index), 0, self.seed, path)
+        return _keyed_stream(_hash(self._key, _SPAWN_SALT, index), 0, self.seed, path)
 
     def next_uniform(self) -> float:
         """Next uniform draw in [0, 1); advances the counter by one."""
         _check_draw(self.counter, 1)
-        w = _word(self._key, self.counter)
+        w = _hash(self._key, _DRAW_SALT, self.counter + 1)
         self.counter += 1
         return (w >> 11) * _INV_2_53
 
@@ -293,8 +288,8 @@ class SplittableStream:
         vectorised path in :class:`StreamBundle`.
         """
         _check_draw(self.counter, 2)
-        w1 = _word(self._key, self.counter)
-        w2 = _word(self._key, self.counter + 1)
+        w1 = _hash(self._key, _DRAW_SALT, self.counter + 1)
+        w2 = _hash(self._key, _DRAW_SALT, self.counter + 2)
         self.counter += 2
         u1 = ((w1 >> 11) + 1) * _INV_2_53
         u2 = (w2 >> 11) * _INV_2_53
@@ -302,17 +297,12 @@ class SplittableStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms as a float64 array (counter advances)."""
-        count = _check_int(count, "count", 0)
-        words = _words_np(np.uint64(self._key), self.counter, count)
-        self.counter += count
-        return _scaled_top53(words, _INV_2_53)
+        return _scaled_top53(_take_words(self, np.uint64(self._key), _check_int(count, "count", 0)), _INV_2_53)
 
     def gaussians(self, count: int) -> np.ndarray:
         """The next ``count`` gaussians (2*count counters), matching
         repeated :meth:`next_gaussian` calls bit for bit."""
-        count = _check_int(count, "count", 0)
-        words = _words_np(np.uint64(self._key), self.counter, 2 * count)
-        self.counter += 2 * count
+        words = _take_words(self, np.uint64(self._key), 2 * _check_int(count, "count", 0))
         return _gaussian_from_words(words[0::2], words[1::2])
 
     def __eq__(self, other) -> bool:
@@ -365,8 +355,7 @@ class StreamBundle:
     @classmethod
     def root_children(cls, seed: int, indices) -> "StreamBundle":
         """Bundle of ``root(seed).spawn(i)`` for each i in ``indices``."""
-        rk = np.uint64(_root_key(_check_seed(seed)))
-        return cls(_child_keys_np(rk, _check_indices(indices)))
+        return cls(_hash_np(np.uint64(root(seed)._key), _U64_SPAWN, _check_indices(indices)))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -374,16 +363,13 @@ class StreamBundle:
 
     def spawn(self, index: int) -> "StreamBundle":
         """Elementwise child bundle for one index; counter resets to 0."""
-        return StreamBundle(_child_keys_np(self.keys, np.int64(_check_index(index))))
+        return StreamBundle(_hash_np(self.keys, _U64_SPAWN, np.int64(_check_index(index))))
 
     def next_uniform(self) -> np.ndarray:
-        u = _scaled_top53(_words_np(self.keys, self.counter, 1)[0], _INV_2_53)
-        self.counter += 1
-        return u
+        return _scaled_top53(_take_words(self, self.keys, 1)[0], _INV_2_53)
 
     def next_gaussian(self) -> np.ndarray:
-        words = _words_np(self.keys, self.counter, 2)
-        self.counter += 2
+        words = _take_words(self, self.keys, 2)
         return _gaussian_from_words(words[0], words[1])
 
     def __repr__(self) -> str:

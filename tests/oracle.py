@@ -9,6 +9,8 @@ entries do; the tests pass the frozen chunk sizes as literals.
 ``mix64_np`` and ``gaussian_from_words`` are the draw transform written
 with fresh arrays and the unfolded constants, the reference for the
 in-place kernel.
+``assert_same_bits`` is the engine tests' equality: same values and same
+sign bits.
 ``refusing_problem`` raises from every callable, for tests that an entry
 refuses its input before it runs anything.
 """
@@ -38,6 +40,12 @@ def gaussian_from_words(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     u1 = ((w1 >> _SH11) + np.uint64(1)).astype(np.float64) * _INV_2_53
     u2 = (w2 >> _SH11).astype(np.float64) * _INV_2_53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+
+
+def assert_same_bits(got, want):
+    # array_equal takes -0.0 for 0.0; the sign bit must match too.
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _draw_sum(problem, x, stream, count, chunk=None):

@@ -18,7 +18,7 @@ from mlpicard.baseline import (
 from mlpicard.mlp import CostLedger
 from mlpicard.problems import ExpectationOdeProblem, builtin
 from mlpicard.rng import StreamBundle, root
-from oracle import PROBLEM_NAMES, euler_scalar, named_problem, refusing_problem
+from oracle import PROBLEM_NAMES, assert_same_bits, euler_scalar, named_problem, refusing_problem
 
 X_INF = 1.0 - math.exp(-1.0)
 SEED = 12345
@@ -114,10 +114,10 @@ def test_one_lane_matches_lane_in_batch(name):
         wide = mc_euler_batch(p, K, M, StreamBundle.root_children(SEED, lanes), CostLedger())
         for i, j in enumerate(lanes):
             one = mc_euler_batch(p, K, M, StreamBundle.root_children(SEED, [j]), CostLedger())
-            assert np.array_equal(one[0], wide[i])
+            assert_same_bits(one[0], wide[i])
             if M <= 4096 or i % 8 == 0:
                 want = euler_scalar(p, K, M, root(SEED).spawn(j), chunk=4096)
-                assert np.array_equal(one[0], want) and np.array_equal(np.signbit(one[0]), np.signbit(want))
+                assert_same_bits(one[0], want)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64])
@@ -137,8 +137,7 @@ def test_draw_budget_never_changes_bits(monkeypatch, name, budget):
             one = mc_euler_batch(p, K, M, StreamBundle.root_children(SEED, [j]), CostLedger())
             want = euler_scalar(p, K, M, root(SEED).spawn(int(j)), want_ledger, chunk=4096)
             for got in (one[0], wide[i]):
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert_same_bits(got, want)
         assert wide_ledger == want_ledger
 
 
@@ -156,7 +155,7 @@ def test_worker_thread_gives_the_same_bits(name):
     with ThreadPoolExecutor(max_workers=1) as pool:
         in_worker, worker_ledger = pool.submit(run).result(timeout=60)
     in_main, main_ledger = run()
-    assert np.array_equal(in_worker, in_main)
+    assert_same_bits(in_worker, in_main)
     assert worker_ledger == main_ledger
 
 

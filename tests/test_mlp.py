@@ -23,7 +23,7 @@ from mlpicard.mlp import (
 )
 from mlpicard.problems import BUILTIN_NAMES, ExpectationOdeProblem, builtin
 from mlpicard.rng import StreamBundle, root
-from oracle import PROBLEM_NAMES, estimate_scalar, named_problem, refusing_problem, two_dim_problem
+from oracle import PROBLEM_NAMES, assert_same_bits, estimate_scalar, named_problem, refusing_problem, two_dim_problem
 
 SEED = 12345
 
@@ -326,12 +326,6 @@ def test_batch_lane_chunking_is_invariant():
     assert np.array_equal(full, np.concatenate([a, b]))
 
 
-def _assert_same_bits(got, want):
-    # array_equal takes -0.0 for 0.0; the sign bit must match too.
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 def _sample(nlanes):
     # Every lane of a narrow batch, about 40 spread over a wide one.
     return range(0, nlanes, max(1, nlanes // 40))
@@ -385,10 +379,10 @@ def test_one_lane_matches_lane_in_batch(name, n, m):
         for s, i in enumerate(_sample(nlanes)):
             j = int(lanes[i])
             one = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, [j]), CostLedger())
-            _assert_same_bits(one[0], wide[i])
+            assert_same_bits(one[0], wide[i])
             if s % step == 0:
                 want = estimate_scalar(p, n, m, 0.8, root(SEED).spawn(j), CostLedger(), chunk=512)
-                _assert_same_bits(one[0], want)
+                assert_same_bits(one[0], want)
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
@@ -412,11 +406,11 @@ def test_worker_thread_gives_the_same_bits(name):
         with ThreadPoolExecutor(max_workers=1) as pool:
             in_worker, worker_ledger = pool.submit(run).result(timeout=60)
         in_main, main_ledger = run()
-        _assert_same_bits(in_worker, in_main)
+        assert_same_bits(in_worker, in_main)
         assert worker_ledger == main_ledger
         for i in _sample(nlanes)[::8]:
             want = estimate_scalar(p, n, m, 0.8, root(SEED).spawn(int(lanes[i])), CostLedger(), chunk=512)
-            _assert_same_bits(in_worker[i], want)
+            assert_same_bits(in_worker[i], want)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64])
@@ -436,9 +430,9 @@ def test_block_budgets_never_change_bits(monkeypatch, name, budget):
         wide = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, lanes), wide_ledger)
         for i, j in enumerate(lanes):
             one = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(SEED, [j]), CostLedger())
-            _assert_same_bits(one[0], wide[i])
+            assert_same_bits(one[0], wide[i])
             want = estimate_scalar(p, n, m, 0.8, root(SEED).spawn(int(j)), want_ledger, chunk=512)
-            _assert_same_bits(wide[i], want)
+            assert_same_bits(wide[i], want)
         assert wide_ledger == want_ledger
 
 
@@ -450,7 +444,7 @@ def test_pure_noise_keeps_its_gaussians_across_nested_draws():
     lanes = np.arange(1, 301)
     out = mlp_estimate_batch(p, 3, 3, 1.0, StreamBundle.root_children(SEED, lanes), CostLedger())
     for i, j in enumerate(lanes):
-        _assert_same_bits(out[i], estimate_scalar(p, 3, 3, 1.0, root(SEED).spawn(int(j)), CostLedger()))
+        assert_same_bits(out[i], estimate_scalar(p, 3, 3, 1.0, root(SEED).spawn(int(j)), CostLedger()))
 
 
 def test_threads_drawing_at_once_give_the_same_bits():
@@ -475,7 +469,7 @@ def test_threads_drawing_at_once_give_the_same_bits():
     finally:
         sys.setswitchinterval(interval)
     for got, want in zip(together, alone):
-        _assert_same_bits(got, want)
+        assert_same_bits(got, want)
 
 
 _FAULT_PROBE = """

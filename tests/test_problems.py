@@ -19,7 +19,7 @@ from mlpicard.problems import (
     register_problem,
 )
 from mlpicard.rng import StreamBundle, root
-from oracle import PROBLEM_NAMES, estimate_scalar, euler_scalar, named_problem
+from oracle import PROBLEM_NAMES, assert_same_bits, estimate_scalar, euler_scalar, named_problem
 
 
 def test_builtin_names_are_pinned():
@@ -244,14 +244,14 @@ def test_scalar_sampler_may_consume_any_number_of_counters(n, m):
         ledger, want_ledger = CostLedger(), CostLedger()
         got = mlp_estimate(p, n, m, 0.8, root(12345).spawn(j), ledger)
         want = estimate_scalar(p, n, m, 0.8, root(12345).spawn(j), want_ledger)
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert_same_bits(got, want)
         assert ledger == want_ledger
     # The same five lanes as one bundle: every lane keeps its own counters.
     ledger, want_ledger = CostLedger(), CostLedger()
     got = mlp_estimate_batch(p, n, m, 0.8, StreamBundle.root_children(12345, np.arange(1, 6)), ledger)
     for j in range(1, 6):
         want = estimate_scalar(p, n, m, 0.8, root(12345).spawn(j), want_ledger)
-        assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
+        assert_same_bits(got[j - 1], want)
     assert ledger == want_ledger
 
 
@@ -263,7 +263,7 @@ def test_scalar_sampler_may_spawn():
     got = mlp_estimate_batch(p, 2, 3, 0.8, StreamBundle.root_children(12345, np.arange(1, 4)), ledger)
     for j in range(1, 4):
         want = estimate_scalar(p, 2, 3, 0.8, root(12345).spawn(j), want_ledger)
-        assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
+        assert_same_bits(got[j - 1], want)
     assert ledger == want_ledger
 
 
@@ -273,11 +273,11 @@ def test_scalar_sampler_counter_rule_holds_for_euler(K, M):
     for j in range(1, 4):
         got = mc_euler(p, K, M, root(12345).spawn(j), CostLedger())
         want = euler_scalar(p, K, M, root(12345).spawn(j))
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert_same_bits(got, want)
     got = mc_euler_batch(p, K, M, StreamBundle.root_children(12345, np.arange(1, 6)), CostLedger())
     for j in range(1, 6):
         want = euler_scalar(p, K, M, root(12345).spawn(j))
-        assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
+        assert_same_bits(got[j - 1], want)
 
 
 @pytest.mark.parametrize("scheme", ["mlp", "mc_euler"])
@@ -295,7 +295,7 @@ def test_batch_entries_serve_problems_without_batch_hooks(scheme):
         run = lambda stream: euler_scalar(p, 2, 5000, stream, want_ledger)
     for j in range(1, 6):
         want = run(root(12345).spawn(j))
-        assert np.array_equal(got[j - 1], want) and np.array_equal(np.signbit(got[j - 1]), np.signbit(want))
+        assert_same_bits(got[j - 1], want)
     assert ledger == want_ledger
 
 

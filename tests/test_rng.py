@@ -206,7 +206,7 @@ def test_draw_kernel_matches_oracle_at_every_shape(shape):
     # Uniforms too: a bundle keyed by w1 converts its words to an array of the keys' shape.
     u = StreamBundle(w1).next_uniform()
     assert isinstance(u, np.ndarray) and u.shape == shape
-    assert u.tobytes() == np.asarray((rng._words_np(w1, 0, 1)[0] >> np.uint64(11)) * 2.0**-53).tobytes()
+    assert u.tobytes() == np.asarray((rng._hash_np(w1, rng._U64_DRAW, np.uint64(1)) >> np.uint64(11)) * 2.0**-53).tobytes()
 
 
 def test_draw_kernel_matches_oracle_within_and_across_angle_buckets():
@@ -288,7 +288,7 @@ def test_stream_block_draws_match_oracle_through_strided_views():
     s.next_uniform()  # an odd counter offset
     # More than one cosine tile, so strided words cross a tile boundary.
     n = rng._COS_TILE + 1000
-    words = np.array([rng._word(s._key, c) for c in range(1, 2 * n + 4)], dtype=np.uint64)
+    words = np.array([rng._hash(s._key, rng._DRAW_SALT, c + 1) for c in range(1, 2 * n + 4)], dtype=np.uint64)
     want = oracle.gaussian_from_words(words[0:2 * n:2], words[1:2 * n:2])
     assert s.gaussians(n).tobytes() == want.tobytes()
     assert np.array_equal(s.uniforms(3), (words[2 * n:] >> np.uint64(11)) * 2.0**-53)
@@ -392,6 +392,15 @@ def test_stream_repr_and_equality():
     assert "path=(2,)" in repr(s)
     assert s == root(4).spawn(2)
     assert s != root(5).spawn(2)
+    # One stream built two ways hashes alike; a stream is never equal to a
+    # non-stream, nor to itself at another counter.
+    t = SplittableStream(4, (2,))
+    assert t == s and hash(t) == hash(s) and len({s, t}) == 1
+    assert (root(4) == 4) is False
+    assert SplittableStream(4, (2,), 1) != s
+    b = StreamBundle.root_children(4, [1, 2])
+    b.next_uniform()
+    assert repr(b) == "StreamBundle(shape=(2,), counter=1)"
 
 
 @pytest.mark.parametrize(
@@ -413,7 +422,7 @@ def test_bundle_indices_are_checked_before_any_key(monkeypatch, indices, error):
     def refuse(*args, **kwargs):
         raise AssertionError("a key was derived before the indices were checked")
 
-    monkeypatch.setattr(rng, "_child_keys_np", refuse)
+    monkeypatch.setattr(rng, "_hash_np", refuse)
     with pytest.raises(error):
         StreamBundle.root_children(3, indices)
 
@@ -480,9 +489,9 @@ def test_draws_stop_at_the_last_counter(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a word was made before the counters were checked")
 
-    monkeypatch.setattr(rng, "_word", refuse)
-    monkeypatch.setattr(rng, "_mix64_np", refuse)
     s, b = SplittableStream(3, (1,), last), StreamBundle(keys, last)
+    monkeypatch.setattr(rng, "_hash", refuse)  # after building s, which hashes its path
+    monkeypatch.setattr(rng, "_mix64_np", refuse)
     for draw in (s.next_gaussian, lambda: s.gaussians(1), lambda: s.uniforms(2), b.next_gaussian):
         with pytest.raises(ValueError, match="counter"):
             draw()
